@@ -21,7 +21,6 @@
 #include "algo/bfs_engine.h"
 #include "algo/centrality.h"
 #include "algo/community.h"
-#include "algo/csr_switch.h"
 #include "algo/diameter.h"
 #include "algo/hits.h"
 #include "algo/kcore.h"
@@ -221,34 +220,28 @@ void BM_Algos_Diameter_LiveJournalSim(benchmark::State& state) {
 BENCHMARK(BM_Algos_Diameter_LiveJournalSim)->Unit(benchmark::kMillisecond);
 
 // ---------------------------------------------------- ported algo rows
-// Legacy-vs-CSR pairs for every algorithm rebased onto AlgoView spans.
-// The CSR rows warm the snapshot outside the timed loop and report the
-// algo_view counters (check_bench_algos.py gates builds-in-loop == 0 and
-// hits >= iterations); the *_Legacy rows run the hash-adjacency oracle via
-// csr::ScopedEnable(false), so each pair's ratio is the port's speedup.
+// One warm-cache row per algorithm that reads AlgoView spans. Each row
+// warms the snapshot outside the timed loop and reports the algo_view
+// counters (check_bench_algos.py gates builds-in-loop == 0 and
+// hits >= iterations).
 
 template <typename WarmFn, typename BodyFn>
-void RunCsrLegacyRow(benchmark::State& state, bool use_csr, WarmFn&& warm,
-                     BodyFn&& body) {
-  csr::ScopedEnable toggle(use_csr);
-  if (use_csr) warm();
+void RunWarmViewRow(benchmark::State& state, WarmFn&& warm, BodyFn&& body) {
+  warm();
   const int64_t builds0 = metrics::CounterValue("algo_view/build");
   const int64_t hits0 = metrics::CounterValue("algo_view/hit");
   for (auto _ : state) {
     benchmark::DoNotOptimize(body());
   }
-  if (use_csr) {
-    state.counters["view_builds_in_loop"] = benchmark::Counter(
-        static_cast<double>(metrics::CounterValue("algo_view/build") -
-                            builds0));
-    state.counters["view_hits_in_loop"] = benchmark::Counter(
-        static_cast<double>(metrics::CounterValue("algo_view/hit") - hits0));
-  }
+  state.counters["view_builds_in_loop"] = benchmark::Counter(
+      static_cast<double>(metrics::CounterValue("algo_view/build") - builds0));
+  state.counters["view_hits_in_loop"] = benchmark::Counter(
+      static_cast<double>(metrics::CounterValue("algo_view/hit") - hits0));
 }
 
 // Bounded workloads: fixed iteration counts (no convergence-path variance
-// between the two rows of a pair) and sampled/leveled variants where the
-// exact algorithm would dwarf the smoke budget.
+// between runs) and sampled/leveled variants where the exact algorithm
+// would dwarf the smoke budget.
 PageRankConfig PageRankBenchConfig() { return TenIterations(); }
 HitsConfig HitsBenchConfig() {
   HitsConfig cfg;
@@ -263,76 +256,51 @@ LouvainConfig LouvainBenchConfig() {
   return cfg;
 }
 
-#define RINGO_PORTED_ALGO_ROW(ALGO, USE_CSR, WARM, BODY)              \
+#define RINGO_PORTED_ALGO_ROW(ALGO, WARM, BODY)                       \
   void BM_Algos_##ALGO(benchmark::State& state) {                     \
-    RunCsrLegacyRow(                                                  \
-        state, USE_CSR, [&] { WARM; }, [&] { return BODY; });         \
+    RunWarmViewRow(state, [&] { WARM; }, [&] { return BODY; });       \
   }                                                                   \
   BENCHMARK(BM_Algos_##ALGO)->Unit(benchmark::kMillisecond)
 
-RINGO_PORTED_ALGO_ROW(PageRank_LiveJournalSim, true,
+RINGO_PORTED_ALGO_ROW(PageRank_LiveJournalSim,
                       AlgoView::Of(*LiveJournalSim().graph),
                       ParallelPageRank(*LiveJournalSim().graph,
                                        PageRankBenchConfig())
                           .ValueOrDie());
-RINGO_PORTED_ALGO_ROW(PageRank_Legacy_LiveJournalSim, false, (void)0,
-                      ParallelPageRank(*LiveJournalSim().graph,
-                                       PageRankBenchConfig())
-                          .ValueOrDie());
 
-RINGO_PORTED_ALGO_ROW(Hits_LiveJournalSim, true,
+RINGO_PORTED_ALGO_ROW(Hits_LiveJournalSim,
                       AlgoView::Of(*LiveJournalSim().graph),
                       Hits(*LiveJournalSim().graph, HitsBenchConfig())
                           .ValueOrDie());
-RINGO_PORTED_ALGO_ROW(Hits_Legacy_LiveJournalSim, false, (void)0,
-                      Hits(*LiveJournalSim().graph, HitsBenchConfig())
-                          .ValueOrDie());
 
-RINGO_PORTED_ALGO_ROW(Triangles_LiveJournalSim, true,
+RINGO_PORTED_ALGO_ROW(Triangles_LiveJournalSim,
                       AlgoView::Of(UndirectedOf(LiveJournalSim())),
                       ParallelTriangleCount(UndirectedOf(LiveJournalSim())));
-RINGO_PORTED_ALGO_ROW(Triangles_Legacy_LiveJournalSim, false, (void)0,
-                      ParallelTriangleCount(UndirectedOf(LiveJournalSim())));
 
-RINGO_PORTED_ALGO_ROW(KCore_LiveJournalSim, true,
+RINGO_PORTED_ALGO_ROW(KCore_LiveJournalSim,
                       AlgoView::Of(UndirectedOf(LiveJournalSim())),
                       CoreNumbers(UndirectedOf(LiveJournalSim())));
-RINGO_PORTED_ALGO_ROW(KCore_Legacy_LiveJournalSim, false, (void)0,
-                      CoreNumbers(UndirectedOf(LiveJournalSim())));
 
-RINGO_PORTED_ALGO_ROW(LabelProp_LiveJournalSim, true,
+RINGO_PORTED_ALGO_ROW(LabelProp_LiveJournalSim,
                       AlgoView::Of(UndirectedOf(LiveJournalSim())),
                       LabelPropagation(UndirectedOf(LiveJournalSim()), 5, 1));
-RINGO_PORTED_ALGO_ROW(LabelProp_Legacy_LiveJournalSim, false, (void)0,
-                      LabelPropagation(UndirectedOf(LiveJournalSim()), 5, 1));
 
-RINGO_PORTED_ALGO_ROW(Louvain_LiveJournalSim, true,
+RINGO_PORTED_ALGO_ROW(Louvain_LiveJournalSim,
                       AlgoView::Of(UndirectedOf(LiveJournalSim())),
                       Louvain(UndirectedOf(LiveJournalSim()),
                               LouvainBenchConfig())
                           .ValueOrDie());
-RINGO_PORTED_ALGO_ROW(Louvain_Legacy_LiveJournalSim, false, (void)0,
-                      Louvain(UndirectedOf(LiveJournalSim()),
-                              LouvainBenchConfig())
-                          .ValueOrDie());
 
-RINGO_PORTED_ALGO_ROW(Anf_LiveJournalSim, true,
+RINGO_PORTED_ALGO_ROW(Anf_LiveJournalSim,
                       AlgoView::Of(UndirectedOf(LiveJournalSim())),
-                      ApproxNeighborhoodFunction(UndirectedOf(LiveJournalSim()),
-                                                 4, 32, 1)
-                          .ValueOrDie());
-RINGO_PORTED_ALGO_ROW(Anf_Legacy_LiveJournalSim, false, (void)0,
                       ApproxNeighborhoodFunction(UndirectedOf(LiveJournalSim()),
                                                  4, 32, 1)
                           .ValueOrDie());
 
 // Full Brandes is O(n·m); 8 sampled pivots keep the row inside the smoke
-// budget while still timing the span-vs-hash BFS inner loops.
-RINGO_PORTED_ALGO_ROW(Betweenness_LiveJournalSim, true,
+// budget while still timing the span BFS inner loops.
+RINGO_PORTED_ALGO_ROW(Betweenness_LiveJournalSim,
                       AlgoView::Of(UndirectedOf(LiveJournalSim())),
-                      ApproxBetweennessCentrality(
-                          UndirectedOf(LiveJournalSim()), 8, 1));
-RINGO_PORTED_ALGO_ROW(Betweenness_Legacy_LiveJournalSim, false, (void)0,
                       ApproxBetweennessCentrality(
                           UndirectedOf(LiveJournalSim()), 8, 1));
 

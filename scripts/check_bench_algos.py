@@ -6,13 +6,13 @@ Usage: scripts/check_bench_algos.py BENCH_algos.json
 Structural gate for the BM_Algos_ rows, run by run_bench.sh and the CI
 bench-smoke job:
   * every expected benchmark row is present with a positive real_time;
-  * every CSR row proves the snapshot cache worked — a warm AlgoView is
-    reused every iteration (view_hits_in_loop >= iterations) and never
-    rebuilt mid-loop (view_builds_in_loop == 0).
+  * every AlgoView-backed row proves the snapshot cache worked — a warm
+    AlgoView is reused every iteration (view_hits_in_loop >= iterations)
+    and never rebuilt mid-loop (view_builds_in_loop == 0).
 
-The legacy-vs-CSR speedup ratios are printed for the before/after record
-in EXPERIMENTS.md but deliberately NOT gated — absolute timings must stay
-green on slow single-core CI machines.
+The BFS speedup over the seed baseline is printed for the record but
+deliberately NOT gated — absolute timings must stay green on slow
+single-core CI machines.
 """
 import os
 import sys
@@ -31,9 +31,8 @@ EXPECTED = [
     "BM_Algos_Diameter_LiveJournalSim",
 ]
 
-# Legacy-vs-CSR pairs for the ported algorithm library: each algorithm has
-# a BM_Algos_<Algo>_LiveJournalSim (CSR, default path) and a
-# BM_Algos_<Algo>_Legacy_LiveJournalSim (hash-adjacency oracle) row.
+# The algorithm library on AlgoView spans: one warm-cache
+# BM_Algos_<Algo>_LiveJournalSim row per algorithm.
 PORTED_ALGOS = [
     "PageRank",
     "Hits",
@@ -46,7 +45,6 @@ PORTED_ALGOS = [
 ]
 for _algo in PORTED_ALGOS:
     EXPECTED.append(f"BM_Algos_{_algo}_LiveJournalSim")
-    EXPECTED.append(f"BM_Algos_{_algo}_Legacy_LiveJournalSim")
 
 # Rows that must carry warm-snapshot counters (builds == 0, hits >= iters).
 COUNTER_GATED = [
@@ -85,12 +83,6 @@ def main():
               f"vs seed baseline: {base / new:.2f}x "
               f"({base:.3f} -> {new:.3f} "
               f"{rows[f'BM_Algos_Bfs_{sim}'].get('time_unit', 'ms')})")
-    for algo in PORTED_ALGOS:
-        legacy = rows[f"BM_Algos_{algo}_Legacy_LiveJournalSim"]["real_time"]
-        csr = rows[f"BM_Algos_{algo}_LiveJournalSim"]["real_time"]
-        unit = rows[f"BM_Algos_{algo}_LiveJournalSim"].get("time_unit", "ms")
-        print(f"check_bench_algos: {algo} CSR speedup vs legacy oracle: "
-              f"{legacy / csr:.2f}x ({legacy:.3f} -> {csr:.3f} {unit})")
     checker.ok(f"{len(EXPECTED)} rows")
 
 

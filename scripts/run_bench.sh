@@ -35,10 +35,10 @@ echo "== bench_table4_table_ops (RINGO_BENCH_SCALE=$SCALE) =="
 "$BUILD_DIR/bench/bench_table4_table_ops" \
   --benchmark_format=json | tee BENCH_table_ops.json >/dev/null
 
-# Algorithm rows (BFS engine, AlgoView, diameter, plus the legacy-vs-CSR
-# pair for every ported algorithm) run at a fixed thread count so the
-# artifact is comparable across machines; the acceptance gates are the
-# per-pair legacy/CSR ratios and the warm-view counters checked below.
+# Algorithm rows (BFS engine, AlgoView, diameter, plus one warm-cache row
+# per algorithm on AlgoView spans) run at a fixed thread count so the
+# artifact is comparable across machines; the acceptance gate is the
+# warm-view counters checked below.
 THREADS="${RINGO_BENCH_THREADS:-8}"
 echo "== bench_table3_parallel_algorithms/BM_Algos_ rows (OMP_NUM_THREADS=$THREADS) =="
 OMP_NUM_THREADS="$THREADS" \

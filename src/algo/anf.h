@@ -3,10 +3,9 @@
 // Flajolet–Martin sketches, in O(k · h · m) time instead of one BFS per
 // node. This is the standard tool for diameter statistics on graphs where
 // exact all-pairs BFS is infeasible; compare algo/diameter.h for the
-// sampling-based estimator. Sketch propagation ORs over AlgoView CSR spans
-// by default (csr::SetEnabled(false) = legacy hash-adjacency oracle); for
-// a fixed seed the estimates are bit-identical across thread counts and
-// between the two paths.
+// sampling-based estimator. Sketch propagation ORs over AlgoView CSR
+// spans; for a fixed seed the estimates are bit-identical across thread
+// counts.
 #ifndef RINGO_ALGO_ANF_H_
 #define RINGO_ALGO_ANF_H_
 

@@ -3,10 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <numeric>
-#include <span>
 
 #include "algo/algo_view.h"
-#include "algo/csr_switch.h"
 #include "algo/node_index.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -16,75 +14,21 @@ namespace ringo {
 
 namespace {
 
-// Legacy adjacency scaffold: dense neighbor vectors copied out of the hash
-// table, self-loops stripped (they never lie on a shortest path). Kept as
-// the reference oracle behind csr::SetEnabled(false).
-struct LegacyAdj {
-  NodeIndex ni;
-  std::vector<std::vector<int64_t>> adj;
-
-  explicit LegacyAdj(const UndirectedGraph& g) : ni(NodeIndex::FromGraph(g)) {
-    const int64_t n = ni.size();
-    adj.resize(n);
-    ParallelForDynamic(0, n, [&](int64_t i) {
-      const auto& nbrs = g.GetNode(ni.IdOf(i))->nbrs;
-      adj[i].reserve(nbrs.size());
-      for (NodeId v : nbrs) {
-        const int64_t j = ni.IndexOf(v);
-        if (j != i) adj[i].push_back(j);
-      }
-    });
-  }
-
-  // Directed view: traversal follows out-edges only.
-  explicit LegacyAdj(const DirectedGraph& g) : ni(NodeIndex::FromGraph(g)) {
-    const int64_t n = ni.size();
-    adj.resize(n);
-    ParallelForDynamic(0, n, [&](int64_t i) {
-      const auto& out = g.GetNode(ni.IdOf(i))->out;
-      adj[i].reserve(out.size());
-      for (NodeId v : out) {
-        const int64_t j = ni.IndexOf(v);
-        if (j != i) adj[i].push_back(j);
-      }
-    });
-  }
-
-  int64_t size() const { return ni.size(); }
-  std::span<const int64_t> nbrs(int64_t i) const {
-    return std::span<const int64_t>(adj[i]);
-  }
-};
-
-// CSR adjacency: spans straight off the pinned AlgoView snapshot. Spans may
-// contain a self-loop entry; the traversal kernels below are immune to it
-// (a self edge never relaxes dist or sigma) and the eigenvector kernel
-// skips it explicitly, so both scaffolds feed identical arithmetic.
-struct CsrAdj {
-  std::shared_ptr<const AlgoView> view;
-
-  explicit CsrAdj(std::shared_ptr<const AlgoView> v) : view(std::move(v)) {}
-
-  int64_t size() const { return view->NumNodes(); }
-  // NbrSpan (not std::span): on a compressed base the run lives in pooled
-  // scratch that must stay pinned while the caller iterates it.
-  NbrSpan nbrs(int64_t i) const { return view->Out(i); }
-  const NodeIndex& node_index() const { return view->node_index(); }
-};
-
 // BFS from `src`; fills dist (-1 = unreachable) and returns the visit
-// order. A self-loop entry in nbrs(u) is a no-op: dist[u] is already set.
-template <typename Adj>
-std::vector<int64_t> DenseBfs(const Adj& da, int64_t src,
+// order over the view's out-spans. A self-loop entry in Out(u) is a no-op:
+// dist[u] is already set. The traversal kernels below are immune to
+// self-loops for the same reason (a self edge never relaxes dist or sigma);
+// the eigenvector kernel skips them explicitly.
+std::vector<int64_t> DenseBfs(const AlgoView& view, int64_t src,
                               std::vector<int64_t>* dist) {
-  dist->assign(da.size(), -1);
+  dist->assign(view.NumNodes(), -1);
   std::vector<int64_t> order;
   order.reserve(64);
   (*dist)[src] = 0;
   order.push_back(src);
   for (size_t head = 0; head < order.size(); ++head) {
     const int64_t u = order[head];
-    for (int64_t v : da.nbrs(u)) {
+    for (int64_t v : view.Out(u)) {
       if ((*dist)[v] < 0) {
         (*dist)[v] = (*dist)[u] + 1;
         order.push_back(v);
@@ -94,55 +38,29 @@ std::vector<int64_t> DenseBfs(const Adj& da, int64_t src,
   return order;
 }
 
-NodeValues DegreeCentralityImpl(const NodeIndex& ni,
-                                const std::vector<int64_t>& deg) {
-  const int64_t n = ni.size();
+NodeValues DegreeCentralityImpl(const AlgoView& view, bool in) {
+  const int64_t n = view.NumNodes();
   std::vector<double> c(n, 0.0);
   const double denom = n > 1 ? static_cast<double>(n - 1) : 1.0;
-  ParallelFor(0, n,
-              [&](int64_t i) { c[i] = static_cast<double>(deg[i]) / denom; });
-  return ni.Zip(c);
+  ParallelFor(0, n, [&](int64_t i) {
+    const int64_t deg = in ? view.InDegree(i) : view.OutDegree(i);
+    c[i] = static_cast<double>(deg) / denom;
+  });
+  return view.node_index().Zip(c);
 }
 
 }  // namespace
 
 NodeValues DegreeCentrality(const UndirectedGraph& g) {
-  if (csr::Enabled()) {
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    std::vector<int64_t> deg(view->NumNodes());
-    for (int64_t i = 0; i < view->NumNodes(); ++i) deg[i] = view->OutDegree(i);
-    return DegreeCentralityImpl(view->node_index(), deg);
-  }
-  const NodeIndex ni = NodeIndex::FromGraph(g);
-  std::vector<int64_t> deg(ni.size());
-  for (int64_t i = 0; i < ni.size(); ++i) deg[i] = g.Degree(ni.IdOf(i));
-  return DegreeCentralityImpl(ni, deg);
+  return DegreeCentralityImpl(*AlgoView::Of(g), /*in=*/false);
 }
 
 NodeValues InDegreeCentrality(const DirectedGraph& g) {
-  if (csr::Enabled()) {
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    std::vector<int64_t> deg(view->NumNodes());
-    for (int64_t i = 0; i < view->NumNodes(); ++i) deg[i] = view->InDegree(i);
-    return DegreeCentralityImpl(view->node_index(), deg);
-  }
-  const NodeIndex ni = NodeIndex::FromGraph(g);
-  std::vector<int64_t> deg(ni.size());
-  for (int64_t i = 0; i < ni.size(); ++i) deg[i] = g.InDegree(ni.IdOf(i));
-  return DegreeCentralityImpl(ni, deg);
+  return DegreeCentralityImpl(*AlgoView::Of(g), /*in=*/true);
 }
 
 NodeValues OutDegreeCentrality(const DirectedGraph& g) {
-  if (csr::Enabled()) {
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    std::vector<int64_t> deg(view->NumNodes());
-    for (int64_t i = 0; i < view->NumNodes(); ++i) deg[i] = view->OutDegree(i);
-    return DegreeCentralityImpl(view->node_index(), deg);
-  }
-  const NodeIndex ni = NodeIndex::FromGraph(g);
-  std::vector<int64_t> deg(ni.size());
-  for (int64_t i = 0; i < ni.size(); ++i) deg[i] = g.OutDegree(ni.IdOf(i));
-  return DegreeCentralityImpl(ni, deg);
+  return DegreeCentralityImpl(*AlgoView::Of(g), /*in=*/false);
 }
 
 namespace {
@@ -154,9 +72,8 @@ namespace {
 // slot depends only on its own source, so blocking can't change results.
 constexpr int64_t kBfsSourcesPerBlock = 16;
 
-template <typename Adj>
-std::vector<double> ClosenessKernel(const Adj& da) {
-  const int64_t n = da.size();
+std::vector<double> ClosenessKernel(const AlgoView& view) {
+  const int64_t n = view.NumNodes();
   std::vector<double> c(n, 0.0);
   const int64_t nblocks =
       (n + kBfsSourcesPerBlock - 1) / kBfsSourcesPerBlock;
@@ -165,7 +82,7 @@ std::vector<double> ClosenessKernel(const Adj& da) {
     const int64_t lo = b * kBfsSourcesPerBlock;
     const int64_t hi = std::min(n, lo + kBfsSourcesPerBlock);
     for (int64_t u = lo; u < hi; ++u) {
-      const std::vector<int64_t> order = DenseBfs(da, u, &dist);
+      const std::vector<int64_t> order = DenseBfs(view, u, &dist);
       int64_t total = 0;
       for (int64_t v : order) total += dist[v];
       const int64_t r = static_cast<int64_t>(order.size());
@@ -183,13 +100,8 @@ template <typename Graph>
 NodeValues ClosenessDispatch(const Graph& g) {
   trace::Span span("Algo/Closeness");
   span.AddAttr("nodes", g.NumNodes());
-  span.AddAttr("csr", static_cast<int64_t>(csr::Enabled() ? 1 : 0));
-  if (csr::Enabled()) {
-    const CsrAdj da(AlgoView::Of(g));
-    return da.node_index().Zip(ClosenessKernel(da));
-  }
-  const LegacyAdj da(g);
-  return da.ni.Zip(ClosenessKernel(da));
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  return view->node_index().Zip(ClosenessKernel(*view));
 }
 
 }  // namespace
@@ -204,13 +116,11 @@ NodeValues ClosenessCentralityDirected(const DirectedGraph& g) {
 
 namespace {
 
-// Shared body for the sampled-closeness estimator; pivots are dense
-// indices, chosen identically on both paths (dense index i = i-th smallest
-// node id under either scaffold).
-template <typename Adj>
-std::vector<double> ApproxClosenessKernel(const Adj& da, int64_t samples,
-                                          uint64_t seed) {
-  const int64_t n = da.size();
+// Sampled-closeness estimator; pivots are dense indices (dense index i =
+// i-th smallest node id).
+std::vector<double> ApproxClosenessKernel(const AlgoView& view,
+                                          int64_t samples, uint64_t seed) {
+  const int64_t n = view.NumNodes();
   std::vector<int64_t> pivots(n);
   std::iota(pivots.begin(), pivots.end(), 0);
   Rng rng(seed);
@@ -224,7 +134,7 @@ std::vector<double> ApproxClosenessKernel(const Adj& da, int64_t samples,
   std::vector<int64_t> reached(n, 0);
   std::vector<int64_t> dist;
   for (int64_t p : pivots) {
-    DenseBfs(da, p, &dist);
+    DenseBfs(view, p, &dist);
     for (int64_t v = 0; v < n; ++v) {
       if (dist[v] > 0) {  // Exclude the pivot's own zero distance.
         sum[v] += dist[v];
@@ -254,20 +164,15 @@ NodeValues ApproxClosenessCentrality(const UndirectedGraph& g,
                                      int64_t samples, uint64_t seed) {
   const int64_t n = g.NumNodes();
   if (n == 0) return {};
-  samples = std::min(samples, n);
-  if (csr::Enabled()) {
-    const CsrAdj da(AlgoView::Of(g));
-    return da.node_index().Zip(ApproxClosenessKernel(da, samples, seed));
-  }
-  const LegacyAdj da(g);
-  return da.ni.Zip(ApproxClosenessKernel(da, samples, seed));
+  samples = std::clamp<int64_t>(samples, 1, n);
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  return view->node_index().Zip(ApproxClosenessKernel(*view, samples, seed));
 }
 
 namespace {
 
-template <typename Adj>
-std::vector<double> HarmonicKernel(const Adj& da) {
-  const int64_t n = da.size();
+std::vector<double> HarmonicKernel(const AlgoView& view) {
+  const int64_t n = view.NumNodes();
   std::vector<double> c(n, 0.0);
   const int64_t nblocks =
       (n + kBfsSourcesPerBlock - 1) / kBfsSourcesPerBlock;
@@ -276,7 +181,7 @@ std::vector<double> HarmonicKernel(const Adj& da) {
     const int64_t lo = b * kBfsSourcesPerBlock;
     const int64_t hi = std::min(n, lo + kBfsSourcesPerBlock);
     for (int64_t u = lo; u < hi; ++u) {
-      const std::vector<int64_t> order = DenseBfs(da, u, &dist);
+      const std::vector<int64_t> order = DenseBfs(view, u, &dist);
       double acc = 0.0;
       for (int64_t v : order) {
         if (v != u) acc += 1.0 / static_cast<double>(dist[v]);
@@ -290,12 +195,8 @@ std::vector<double> HarmonicKernel(const Adj& da) {
 }  // namespace
 
 NodeValues HarmonicCentrality(const UndirectedGraph& g) {
-  if (csr::Enabled()) {
-    const CsrAdj da(AlgoView::Of(g));
-    return da.node_index().Zip(HarmonicKernel(da));
-  }
-  const LegacyAdj da(g);
-  return da.ni.Zip(HarmonicKernel(da));
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  return view->node_index().Zip(HarmonicKernel(*view));
 }
 
 namespace {
@@ -303,10 +204,9 @@ namespace {
 // One Brandes source accumulation into `delta_out`. A self-loop entry never
 // fires either branch (dist[v] is set and != dist[u] + 1 for v == u), so
 // CSR spans need no filtering.
-template <typename Adj>
-void BrandesFromSource(const Adj& da, int64_t s,
+void BrandesFromSource(const AlgoView& view, int64_t s,
                        std::vector<double>* delta_out) {
-  const int64_t n = da.size();
+  const int64_t n = view.NumNodes();
   std::vector<int64_t> dist(n, -1);
   std::vector<double> sigma(n, 0.0), delta(n, 0.0);
   std::vector<std::vector<int64_t>> preds(n);
@@ -318,7 +218,7 @@ void BrandesFromSource(const Adj& da, int64_t s,
   order.push_back(s);
   for (size_t head = 0; head < order.size(); ++head) {
     const int64_t u = order[head];
-    for (int64_t v : da.nbrs(u)) {
+    for (int64_t v : view.Out(u)) {
       if (dist[v] < 0) {
         dist[v] = dist[u] + 1;
         order.push_back(v);
@@ -344,11 +244,10 @@ void BrandesFromSource(const Adj& da, int64_t s,
 // in block order. Which thread ran which block no longer matters, so the
 // result is bit-identical at every thread count (the old per-thread-buffer
 // merge depended on the dynamic schedule).
-template <typename Adj>
-std::vector<double> BetweennessKernel(const Adj& da,
+std::vector<double> BetweennessKernel(const AlgoView& view,
                                       const std::vector<int64_t>& sources,
                                       double scale, bool halve_pairs) {
-  const int64_t n = da.size();
+  const int64_t n = view.NumNodes();
   constexpr int64_t kSourcesPerBlock = 32;
   const int64_t nsources = static_cast<int64_t>(sources.size());
   const int64_t nblocks =
@@ -359,7 +258,7 @@ std::vector<double> BetweennessKernel(const Adj& da,
     const int64_t lo = b * kSourcesPerBlock;
     const int64_t hi = std::min(lo + kSourcesPerBlock, nsources);
     for (int64_t i = lo; i < hi; ++i) {
-      BrandesFromSource(da, sources[i], &acc);
+      BrandesFromSource(view, sources[i], &acc);
     }
     block_sum[b] = std::move(acc);
   });
@@ -381,14 +280,9 @@ NodeValues BetweennessDispatch(const Graph& g,
   trace::Span span("Algo/Betweenness");
   span.AddAttr("nodes", g.NumNodes());
   span.AddAttr("sources", static_cast<int64_t>(sources.size()));
-  span.AddAttr("csr", static_cast<int64_t>(csr::Enabled() ? 1 : 0));
-  if (csr::Enabled()) {
-    const CsrAdj da(AlgoView::Of(g));
-    return da.node_index().Zip(
-        BetweennessKernel(da, sources, scale, halve_pairs));
-  }
-  const LegacyAdj da(g);
-  return da.ni.Zip(BetweennessKernel(da, sources, scale, halve_pairs));
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  return view->node_index().Zip(
+      BetweennessKernel(*view, sources, scale, halve_pairs));
 }
 
 }  // namespace
@@ -411,7 +305,7 @@ NodeValues ApproxBetweennessCentrality(const UndirectedGraph& g,
                                        int64_t samples, uint64_t seed) {
   const int64_t n = g.NumNodes();
   if (n == 0) return {};
-  samples = std::min(samples, n);
+  samples = std::clamp<int64_t>(samples, 1, n);
   std::vector<int64_t> all(n);
   std::iota(all.begin(), all.end(), 0);
   Rng rng(seed);
@@ -426,19 +320,19 @@ NodeValues ApproxBetweennessCentrality(const UndirectedGraph& g,
 
 namespace {
 
-template <typename Adj>
-Result<NodeValues> EigenvectorKernel(const Adj& da, const NodeIndex& ni,
-                                     int max_iters, double tol) {
-  const int64_t n = da.size();
+Result<NodeValues> EigenvectorKernel(const AlgoView& view, int max_iters,
+                                     double tol) {
+  const NodeIndex& ni = view.node_index();
+  const int64_t n = view.NumNodes();
   std::vector<double> x(n, 1.0 / std::sqrt(static_cast<double>(n))), next(n);
   for (int iter = 0; iter < max_iters; ++iter) {
     // Iterate on A + I rather than A: the shift leaves the principal
     // eigenvector unchanged but kills the period-2 oscillation plain power
     // iteration exhibits on bipartite graphs (e.g. stars). Self-loop span
-    // entries are skipped — the legacy scaffold strips them at build time.
+    // entries are skipped, so a self-loop does not change the result.
     ParallelForDynamic(0, n, [&](int64_t i) {
       double acc = x[i];
-      for (int64_t j : da.nbrs(i)) {
+      for (int64_t j : view.Out(i)) {
         if (j != i) acc += x[j];
       }
       next[i] = acc;
@@ -462,9 +356,8 @@ Result<NodeValues> EigenvectorKernel(const Adj& da, const NodeIndex& ni,
   return ni.Zip(x);
 }
 
-template <typename Adj>
-std::vector<int64_t> EccentricityKernel(const Adj& da) {
-  const int64_t n = da.size();
+std::vector<int64_t> EccentricityKernel(const AlgoView& view) {
+  const int64_t n = view.NumNodes();
   std::vector<int64_t> ecc(n, 0);
   const int64_t nblocks =
       (n + kBfsSourcesPerBlock - 1) / kBfsSourcesPerBlock;
@@ -473,7 +366,7 @@ std::vector<int64_t> EccentricityKernel(const Adj& da) {
     const int64_t lo = b * kBfsSourcesPerBlock;
     const int64_t hi = std::min(n, lo + kBfsSourcesPerBlock);
     for (int64_t u = lo; u < hi; ++u) {
-      const std::vector<int64_t> order = DenseBfs(da, u, &dist);
+      const std::vector<int64_t> order = DenseBfs(view, u, &dist);
       int64_t e = 0;
       for (int64_t v : order) e = std::max(e, dist[v]);
       ecc[u] = e;
@@ -490,21 +383,12 @@ Result<NodeValues> EigenvectorCentrality(const UndirectedGraph& g,
     return Status::InvalidArgument("EigenvectorCentrality: max_iters >= 1");
   }
   if (g.NumNodes() == 0) return NodeValues{};
-  if (csr::Enabled()) {
-    const CsrAdj da(AlgoView::Of(g));
-    return EigenvectorKernel(da, da.node_index(), max_iters, tol);
-  }
-  const LegacyAdj da(g);
-  return EigenvectorKernel(da, da.ni, max_iters, tol);
+  return EigenvectorKernel(*AlgoView::Of(g), max_iters, tol);
 }
 
 NodeInts Eccentricities(const UndirectedGraph& g) {
-  if (csr::Enabled()) {
-    const CsrAdj da(AlgoView::Of(g));
-    return da.node_index().Zip(EccentricityKernel(da));
-  }
-  const LegacyAdj da(g);
-  return da.ni.Zip(EccentricityKernel(da));
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  return view->node_index().Zip(EccentricityKernel(*view));
 }
 
 }  // namespace ringo

@@ -2,10 +2,9 @@
 // the §4.1 demo offers alongside PageRank and HITS: degree, closeness,
 // harmonic, betweenness (Brandes), and eigenvector centrality.
 //
-// The BFS-per-node kernels traverse AlgoView CSR spans by default;
-// csr::SetEnabled(false) selects the legacy hash-adjacency scaffold kept
-// as the parity oracle. Betweenness accumulates per fixed source block
-// (not per thread), so every measure is bit-identical at any thread count.
+// The BFS-per-node kernels traverse AlgoView CSR spans; self-loops never
+// change a result. Betweenness accumulates per fixed source block (not per
+// thread), so every measure is bit-identical at any thread count.
 #ifndef RINGO_ALGO_CENTRALITY_H_
 #define RINGO_ALGO_CENTRALITY_H_
 
@@ -29,7 +28,9 @@ NodeValues OutDegreeCentrality(const DirectedGraph& g);
 NodeValues ClosenessCentrality(const UndirectedGraph& g);
 
 // Sampled approximation: BFS from `samples` pivots chosen deterministically
-// from `seed`; estimates sum-of-distances by extrapolation.
+// from `seed`; estimates sum-of-distances by extrapolation. `samples` is
+// clamped to [1, n]: 0 or a negative count samples one pivot, and a count
+// above n samples every node (reproducing ClosenessCentrality exactly).
 NodeValues ApproxClosenessCentrality(const UndirectedGraph& g,
                                      int64_t samples, uint64_t seed = 1);
 
@@ -42,7 +43,8 @@ NodeValues HarmonicCentrality(const UndirectedGraph& g);
 NodeValues BetweennessCentrality(const UndirectedGraph& g);
 
 // Brandes with sampled sources — the standard approximation for large
-// graphs; values are scaled by n/samples.
+// graphs; values are scaled by n/samples. `samples` is clamped to [1, n],
+// as in ApproxClosenessCentrality, so the scale is always finite.
 NodeValues ApproxBetweennessCentrality(const UndirectedGraph& g,
                                        int64_t samples, uint64_t seed = 1);
 

@@ -1,7 +1,6 @@
 // Community detection: asynchronous label propagation plus Newman
-// modularity scoring of any partition. Both read AlgoView CSR spans by
-// default; csr::SetEnabled(false) selects the legacy hash-adjacency
-// oracle. Modularity counts a self-loop as 2 in both its endpoint's degree
+// modularity scoring of any partition. Both read AlgoView CSR spans.
+// Modularity counts a self-loop as 2 in both its endpoint's degree
 // and the community-internal sum (A_uu = 2), matching Louvain's
 // aggregation convention.
 #ifndef RINGO_ALGO_COMMUNITY_H_
@@ -21,7 +20,10 @@ NodeInts LabelPropagation(const UndirectedGraph& g, int max_rounds = 100,
                           uint64_t seed = 1);
 
 // Newman modularity Q of a partition (labels as produced above). Q in
-// [-0.5, 1]; higher = stronger community structure.
+// [-0.5, 1]; higher = stronger community structure. Labels may be any
+// int64 values (negative or sparse included); only equality matters. A
+// graph node missing from `labels` is its own singleton community, and
+// entries for ids not in the graph are ignored.
 double Modularity(const UndirectedGraph& g, const NodeInts& labels);
 
 }  // namespace ringo

@@ -5,7 +5,7 @@
 // delta+varint-encoded and Out()/In() decode runs into pooled thread-local
 // scratch behind the same span-shaped interface; with the switch off
 // (default), the base stays plain flat arrays — the parity oracle. Same
-// discipline as radix::/csr::/deltacsr::SetEnabled, with one deliberate
+// discipline as radix::/deltacsr::SetEnabled, with one deliberate
 // inversion: the compact layout is *opt-in* (env RINGO_COMPACT_CSR=on or
 // SetEnabled(true)) because it trades per-read decode CPU for ~3-4x less
 // memory per arc — the right default for beyond-RAM datasets, not for the

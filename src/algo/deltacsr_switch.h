@@ -7,8 +7,7 @@
 // patched fraction crosses the compaction threshold. With the switch off,
 // every stale snapshot is rebuilt from scratch (the pre-§11 behavior); that
 // path is the parity oracle proving delta-patched views are structurally
-// identical to full rebuilds. Same discipline as csr::SetEnabled and
-// radix::SetEnabled.
+// identical to full rebuilds. Same discipline as radix::SetEnabled.
 #ifndef RINGO_ALGO_DELTACSR_SWITCH_H_
 #define RINGO_ALGO_DELTACSR_SWITCH_H_
 

@@ -1,10 +1,8 @@
 #include "algo/hits.h"
 
 #include <cmath>
-#include <span>
 
 #include "algo/algo_view.h"
-#include "algo/csr_switch.h"
 #include "algo/node_index.h"
 #include "util/cancel.h"
 #include "util/parallel.h"
@@ -14,15 +12,12 @@ namespace ringo {
 
 namespace {
 
-// Shared iteration: auth = Aᵀ·hub, hub = A·auth, L2-normalized each round.
-// `in_of(i)` / `out_of(i)` yield ascending dense-index spans; the legacy
-// and CSR paths feed identical spans (both adjacency orders are ascending),
-// so the two paths are arithmetically identical. The norms and the L1
-// convergence delta use the blocked deterministic sum so results are
-// bit-identical at every thread count.
-template <typename InSpanFn, typename OutSpanFn>
-HitsScores IterateHits(int64_t n, const NodeIndex& ni, InSpanFn&& in_of,
-                       OutSpanFn&& out_of, const HitsConfig& config) {
+// auth = Aᵀ·hub, hub = A·auth, L2-normalized each round, over the view's
+// ascending dense-index spans. The norms and the L1 convergence delta use
+// the blocked deterministic sum so results are bit-identical at every
+// thread count.
+HitsScores IterateHits(const AlgoView& view, const HitsConfig& config) {
+  const int64_t n = view.NumNodes();
   std::vector<double> hub(n, 1.0), auth(n, 1.0);
   std::vector<double> hub_next(n), auth_next(n);
   auto normalize = [n](std::vector<double>& v) {
@@ -41,13 +36,13 @@ HitsScores IterateHits(int64_t n, const NodeIndex& ni, InSpanFn&& in_of,
     // auth(v) = sum of hub(u) over in-neighbors u.
     ParallelForDynamic(0, n, [&](int64_t i) {
       double acc = 0.0;
-      for (const int64_t u : in_of(i)) acc += hub[u];
+      for (const int64_t u : view.In(i)) acc += hub[u];
       auth_next[i] = acc;
     });
     // hub(u) = sum of auth(v) over out-neighbors v.
     ParallelForDynamic(0, n, [&](int64_t i) {
       double acc = 0.0;
-      for (const int64_t v : out_of(i)) acc += auth_next[v];
+      for (const int64_t v : view.Out(i)) acc += auth_next[v];
       hub_next[i] = acc;
     });
     normalize(auth_next);
@@ -60,6 +55,7 @@ HitsScores IterateHits(int64_t n, const NodeIndex& ni, InSpanFn&& in_of,
     hub.swap(hub_next);
     if (config.tol > 0 && delta < config.tol) break;
   }
+  const NodeIndex& ni = view.node_index();
   return HitsScores{ni.Zip(hub), ni.Zip(auth)};
 }
 
@@ -73,32 +69,8 @@ Result<HitsScores> Hits(const DirectedGraph& g, const HitsConfig& config) {
   trace::Span span("Algo/Hits");
   span.AddAttr("nodes", g.NumNodes());
   span.AddAttr("edges", g.NumEdges());
-  span.AddAttr("csr", static_cast<int64_t>(csr::Enabled() ? 1 : 0));
 
-  if (csr::Enabled()) {
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    return IterateHits(
-        view->NumNodes(), view->node_index(),
-        [&](int64_t i) { return view->In(i); },
-        [&](int64_t i) { return view->Out(i); }, config);
-  }
-
-  // Legacy oracle: per-call dense in/out adjacency from the hash table (one
-  // hash probe per edge during the build).
-  const NodeIndex ni = NodeIndex::FromGraph(g);
-  const int64_t n = ni.size();
-  std::vector<std::vector<int64_t>> in(n), out(n);
-  for (int64_t i = 0; i < n; ++i) {
-    const DirectedGraph::NodeData* nd = g.GetNode(ni.IdOf(i));
-    in[i].reserve(nd->in.size());
-    for (NodeId u : nd->in) in[i].push_back(ni.IndexOf(u));
-    out[i].reserve(nd->out.size());
-    for (NodeId v : nd->out) out[i].push_back(ni.IndexOf(v));
-  }
-  return IterateHits(
-      n, ni,
-      [&](int64_t i) { return std::span<const int64_t>(in[i]); },
-      [&](int64_t i) { return std::span<const int64_t>(out[i]); }, config);
+  return IterateHits(*AlgoView::Of(g), config);
 }
 
 }  // namespace ringo

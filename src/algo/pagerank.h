@@ -6,10 +6,8 @@
 // statements" the paper describes. Dangling-node mass is redistributed
 // uniformly each iteration, so ranks always sum to 1.
 //
-// The kernel reads in-neighbor spans from the cached AlgoView CSR snapshot
-// by default; csr::SetEnabled(false) selects the hash-adjacency legacy
-// oracle (same arithmetic, kept for the parity suite). Results are
-// bit-identical across thread counts and between the two paths.
+// The kernel reads in-neighbor spans from the cached AlgoView CSR snapshot.
+// Results are bit-identical across thread counts.
 #ifndef RINGO_ALGO_PAGERANK_H_
 #define RINGO_ALGO_PAGERANK_H_
 

@@ -4,7 +4,6 @@
 #include <span>
 
 #include "algo/algo_view.h"
-#include "algo/csr_switch.h"
 #include "algo/node_index.h"
 #include "util/parallel.h"
 #include "util/trace.h"
@@ -18,51 +17,23 @@ namespace {
 // then has exactly one vertex from which both others are "forward".
 // Self-loops are dropped (a self-loop cannot be part of a triangle); the
 // ordering key counts them, which only affects which vertex owns a
-// triangle, never the count.
-struct ForwardAdjacency {
-  NodeIndex ni;
-  std::vector<std::vector<int64_t>> fwd;
-
-  // Legacy oracle: hash probe per edge to translate neighbor ids.
-  explicit ForwardAdjacency(const UndirectedGraph& g)
-      : ni(NodeIndex::FromGraph(g)) {
-    const int64_t n = ni.size();
-    std::vector<int64_t> deg(n);
-    std::vector<const UndirectedGraph::NodeData*> node_ptr(n);
-    for (int64_t i = 0; i < n; ++i) {
-      node_ptr[i] = g.GetNode(ni.IdOf(i));
-      deg[i] = static_cast<int64_t>(node_ptr[i]->nbrs.size());
+// triangle, never the count. The view's neighbor spans are already
+// ascending dense indices, so the filtered copy needs no sort.
+std::vector<std::vector<int64_t>> ForwardAdjacency(const AlgoView& view) {
+  const int64_t n = view.NumNodes();
+  std::vector<int64_t> deg(n);
+  ParallelFor(0, n, [&](int64_t i) { deg[i] = view.OutDegree(i); });
+  auto order_less = [&](int64_t a, int64_t b) {
+    return deg[a] != deg[b] ? deg[a] < deg[b] : a < b;
+  };
+  std::vector<std::vector<int64_t>> fwd(n);
+  ParallelForDynamic(0, n, [&](int64_t i) {
+    for (const int64_t j : view.Out(i)) {
+      if (j != i && order_less(i, j)) fwd[i].push_back(j);
     }
-    auto order_less = [&](int64_t a, int64_t b) {
-      return deg[a] != deg[b] ? deg[a] < deg[b] : a < b;
-    };
-    fwd.resize(n);
-    ParallelForDynamic(0, n, [&](int64_t i) {
-      for (NodeId vid : node_ptr[i]->nbrs) {
-        const int64_t j = ni.IndexOf(vid);
-        if (j != i && order_less(i, j)) fwd[i].push_back(j);
-      }
-      std::sort(fwd[i].begin(), fwd[i].end());
-    });
-  }
-
-  // CSR path: neighbor spans are already ascending dense indices, so the
-  // filtered copy needs no translation and no sort.
-  explicit ForwardAdjacency(const AlgoView& view) : ni(view.node_index()) {
-    const int64_t n = view.NumNodes();
-    std::vector<int64_t> deg(n);
-    ParallelFor(0, n, [&](int64_t i) { deg[i] = view.OutDegree(i); });
-    auto order_less = [&](int64_t a, int64_t b) {
-      return deg[a] != deg[b] ? deg[a] < deg[b] : a < b;
-    };
-    fwd.resize(n);
-    ParallelForDynamic(0, n, [&](int64_t i) {
-      for (const int64_t j : view.Out(i)) {
-        if (j != i && order_less(i, j)) fwd[i].push_back(j);
-      }
-    });
-  }
-};
+  });
+  return fwd;
+}
 
 int64_t SortedIntersectionSize(const std::vector<int64_t>& a,
                                const std::vector<int64_t>& b) {
@@ -82,8 +53,9 @@ int64_t SortedIntersectionSize(const std::vector<int64_t>& a,
   return count;
 }
 
-int64_t CountWithForward(const ForwardAdjacency& fa, bool parallel) {
-  const int64_t n = fa.ni.size();
+int64_t CountWithForward(const std::vector<std::vector<int64_t>>& fwd,
+                         bool parallel) {
+  const int64_t n = static_cast<int64_t>(fwd.size());
   // Integer sums are order-insensitive, but the blocked form shares the
   // TSan-visible fork/join fencing of ParallelFor instead of an opaque
   // `omp reduction` combine.
@@ -91,8 +63,8 @@ int64_t CountWithForward(const ForwardAdjacency& fa, bool parallel) {
       0, n,
       [&](int64_t i) {
         int64_t t = 0;
-        for (int64_t j : fa.fwd[i]) {
-          t += SortedIntersectionSize(fa.fwd[i], fa.fwd[j]);
+        for (int64_t j : fwd[i]) {
+          t += SortedIntersectionSize(fwd[i], fwd[j]);
         }
         return t;
       },
@@ -104,29 +76,10 @@ int64_t CountTriangles(const UndirectedGraph& g, bool parallel,
   trace::Span span(span_name);
   span.AddAttr("nodes", g.NumNodes());
   span.AddAttr("edges", g.NumEdges());
-  span.AddAttr("csr", static_cast<int64_t>(csr::Enabled() ? 1 : 0));
-  int64_t t;
-  if (csr::Enabled()) {
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    const ForwardAdjacency fa(*view);
-    t = CountWithForward(fa, parallel);
-  } else {
-    const ForwardAdjacency fa(g);
-    t = CountWithForward(fa, parallel);
-  }
+  const int64_t t =
+      CountWithForward(ForwardAdjacency(*AlgoView::Of(g)), parallel);
   span.AddAttr("triangles", t);
   return t;
-}
-
-// Neighbors of u excluding self-loops, as sorted NodeId vector (legacy).
-std::vector<NodeId> CleanNeighbors(const UndirectedGraph::NodeData& nd,
-                                   NodeId u) {
-  std::vector<NodeId> out;
-  out.reserve(nd.nbrs.size());
-  for (NodeId v : nd.nbrs) {
-    if (v != u) out.push_back(v);
-  }
-  return out;
 }
 
 // |(a \ {skip_a}) ∩ (b \ {skip_b})| over ascending spans — the CSR
@@ -155,7 +108,7 @@ int64_t IntersectSkip(std::span<const int64_t> a, int64_t skip_a,
 }
 
 // Per-node triangle participation over CSR spans.
-std::vector<int64_t> CsrNodeTriangles(const AlgoView& view) {
+std::vector<int64_t> NodeTriangleCounts(const AlgoView& view) {
   const int64_t n = view.NumNodes();
   std::vector<int64_t> tri(n, 0);
   ParallelForDynamic(0, n, [&](int64_t i) {
@@ -194,64 +147,21 @@ int64_t ParallelTriangleCount(const UndirectedGraph& g) {
 }
 
 NodeInts NodeTriangles(const UndirectedGraph& g) {
-  if (csr::Enabled()) {
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    return view->node_index().Zip(CsrNodeTriangles(*view));
-  }
-  const NodeIndex ni = NodeIndex::FromGraph(g);
-  const int64_t n = ni.size();
-  std::vector<int64_t> tri(n, 0);
-  ParallelForDynamic(0, n, [&](int64_t i) {
-    const NodeId u = ni.IdOf(i);
-    const std::vector<NodeId> nu = CleanNeighbors(*g.GetNode(u), u);
-    int64_t twice = 0;
-    for (NodeId v : nu) {
-      const std::vector<NodeId> nv = CleanNeighbors(*g.GetNode(v), v);
-      size_t a = 0, b = 0;
-      while (a < nu.size() && b < nv.size()) {
-        if (nu[a] < nv[b]) {
-          ++a;
-        } else if (nu[a] > nv[b]) {
-          ++b;
-        } else {
-          ++twice;
-          ++a;
-          ++b;
-        }
-      }
-    }
-    tri[i] = twice / 2;
-  });
-  return ni.Zip(tri);
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  return view->node_index().Zip(NodeTriangleCounts(*view));
 }
 
 NodeValues LocalClusteringCoefficients(const UndirectedGraph& g) {
-  if (csr::Enabled()) {
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    const std::vector<int64_t> tri = CsrNodeTriangles(*view);
-    const int64_t n = view->NumNodes();
-    std::vector<double> cc(n);
-    ParallelFor(0, n, [&](int64_t i) {
-      const int64_t deg = CleanDegree(*view, i);
-      const double pairs = static_cast<double>(deg) * (deg - 1) / 2.0;
-      cc[i] = pairs > 0 ? static_cast<double>(tri[i]) / pairs : 0.0;
-    });
-    return view->node_index().Zip(cc);
-  }
-  const NodeInts tri = NodeTriangles(g);
-  NodeValues out(tri.size());
-  ParallelFor(0, static_cast<int64_t>(tri.size()), [&](int64_t i) {
-    const auto [id, t] = tri[i];
-    // Degree excluding self-loops.
-    const UndirectedGraph::NodeData* nd = g.GetNode(id);
-    int64_t deg = 0;
-    for (NodeId v : nd->nbrs) {
-      if (v != id) ++deg;
-    }
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  const std::vector<int64_t> tri = NodeTriangleCounts(*view);
+  const int64_t n = view->NumNodes();
+  std::vector<double> cc(n);
+  ParallelFor(0, n, [&](int64_t i) {
+    const int64_t deg = CleanDegree(*view, i);
     const double pairs = static_cast<double>(deg) * (deg - 1) / 2.0;
-    out[i] = {id, pairs > 0 ? static_cast<double>(t) / pairs : 0.0};
+    cc[i] = pairs > 0 ? static_cast<double>(tri[i]) / pairs : 0.0;
   });
-  return out;
+  return view->node_index().Zip(cc);
 }
 
 double AverageClusteringCoefficient(const UndirectedGraph& g) {
@@ -263,30 +173,14 @@ double AverageClusteringCoefficient(const UndirectedGraph& g) {
 }
 
 double GlobalClusteringCoefficient(const UndirectedGraph& g) {
-  if (csr::Enabled()) {
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    const std::vector<int64_t> tri = CsrNodeTriangles(*view);
-    const int64_t n = view->NumNodes();
-    int64_t triangles3 = 0;  // 3 * #triangles = closed wedges.
-    for (int64_t i = 0; i < n; ++i) triangles3 += tri[i];
-    const int64_t wedges = DeterministicBlockSum(0, n, [&](int64_t i) {
-      const int64_t deg = CleanDegree(*view, i);
-      return deg * (deg - 1) / 2;
-    });
-    return wedges > 0 ? static_cast<double>(triangles3) /
-                            static_cast<double>(wedges)
-                      : 0.0;
-  }
-  const NodeInts tri = NodeTriangles(g);
-  int64_t triangles3 = 0;
-  for (const auto& [id, t] : tri) triangles3 += t;
-  int64_t wedges = 0;
-  g.ForEachNode([&](NodeId u, const UndirectedGraph::NodeData& nd) {
-    int64_t deg = 0;
-    for (NodeId v : nd.nbrs) {
-      if (v != u) ++deg;
-    }
-    wedges += deg * (deg - 1) / 2;
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  const std::vector<int64_t> tri = NodeTriangleCounts(*view);
+  const int64_t n = view->NumNodes();
+  int64_t triangles3 = 0;  // 3 * #triangles = closed wedges.
+  for (int64_t i = 0; i < n; ++i) triangles3 += tri[i];
+  const int64_t wedges = DeterministicBlockSum(0, n, [&](int64_t i) {
+    const int64_t deg = CleanDegree(*view, i);
+    return deg * (deg - 1) / 2;
   });
   return wedges > 0 ? static_cast<double>(triangles3) /
                           static_cast<double>(wedges)

@@ -3,9 +3,7 @@
 // related to relational joins; here it is a merge-intersection of sorted
 // adjacency vectors — exactly what the sorted-adjacency graph
 // representation (§2.2) is good at. The intersections run over AlgoView
-// CSR spans by default (self-loops skipped inline; they never close a
-// triangle); csr::SetEnabled(false) selects the legacy hash-adjacency
-// oracle used by the parity suite.
+// CSR spans (self-loops skipped inline; they never close a triangle).
 #ifndef RINGO_ALGO_TRIANGLES_H_
 #define RINGO_ALGO_TRIANGLES_H_
 

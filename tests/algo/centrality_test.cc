@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "gen/graph_gen.h"
 #include "test_support.h"
 
@@ -182,6 +184,30 @@ TEST(ApproxClosenessTest, FullSampleEqualsExact) {
   for (const auto& [id, v] : approx) {
     EXPECT_NEAR(v, *exact.Find(id), 1e-9) << "node " << id;
   }
+}
+
+// `samples` is clamped to [1, n]: 0 and negative counts sample one pivot
+// (finite scores, no n/0 scale, no std::length_error from a negative
+// resize), and counts above n sample every node.
+TEST(ApproxSamplingTest, SamplesClampToOneThroughN) {
+  const UndirectedGraph g = testing::RandomUndirected(40, 120, 23);
+  const int64_t n = g.NumNodes();
+  const NodeValues bc1 = ApproxBetweennessCentrality(g, 1, 3);
+  const NodeValues cc1 = ApproxClosenessCentrality(g, 1, 3);
+  for (const int64_t samples : {int64_t{0}, int64_t{-5}}) {
+    SCOPED_TRACE(samples);
+    const NodeValues bc = ApproxBetweennessCentrality(g, samples, 3);
+    const NodeValues cc = ApproxClosenessCentrality(g, samples, 3);
+    EXPECT_EQ(bc, bc1);
+    EXPECT_EQ(cc, cc1);
+    ASSERT_EQ(bc.size(), static_cast<size_t>(n));
+    for (const auto& [id, v] : bc) EXPECT_TRUE(std::isfinite(v)) << id;
+    for (const auto& [id, v] : cc) EXPECT_TRUE(std::isfinite(v)) << id;
+  }
+  EXPECT_EQ(ApproxBetweennessCentrality(g, n + 7, 3),
+            ApproxBetweennessCentrality(g, n, 3));
+  EXPECT_EQ(ApproxClosenessCentrality(g, n + 7, 3),
+            ApproxClosenessCentrality(g, n, 3));
 }
 
 TEST(ApproxClosenessTest, SampledRanksTopNodeSensibly) {

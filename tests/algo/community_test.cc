@@ -78,6 +78,43 @@ TEST(ModularityTest, LabelPropagationBeatsSingletons) {
   EXPECT_GT(Modularity(g, lp), Modularity(g, singletons));
 }
 
+// Labels matter only by equality: negative and huge sparse values score
+// exactly like the dense {0, 1} partition (no out-of-bounds slot, no
+// max_label + 1 allocation).
+TEST(ModularityTest, LabelValuesMatterOnlyByEquality) {
+  const UndirectedGraph g = TwoCliques(5);
+  NodeInts dense, odd;
+  for (NodeId v = 0; v < 10; ++v) {
+    dense.emplace_back(v, v < 5 ? 0 : 1);
+    odd.emplace_back(v, v < 5 ? int64_t{-7} : int64_t{1} << 40);
+  }
+  EXPECT_EQ(Modularity(g, odd), Modularity(g, dense));
+  EXPECT_GT(Modularity(g, dense), 0.3);
+}
+
+// A graph node missing from `labels` is its own singleton community, not
+// silently merged into community 0; labels for ids outside the graph are
+// ignored.
+TEST(ModularityTest, UnlabeledNodeIsItsOwnCommunity) {
+  const UndirectedGraph g = TwoCliques(5);
+  NodeInts partial, explicit_singleton, nine_in_zero;
+  for (NodeId v = 0; v < 10; ++v) {
+    const int64_t l = v < 5 ? 0 : 1;
+    if (v != 9) partial.emplace_back(v, l);
+    explicit_singleton.emplace_back(v, v == 9 ? 2 : l);
+    nine_in_zero.emplace_back(v, v == 9 ? 0 : l);
+  }
+  EXPECT_EQ(Modularity(g, partial), Modularity(g, explicit_singleton));
+  EXPECT_NE(Modularity(g, partial), Modularity(g, nine_in_zero));
+  NodeInts with_stranger = explicit_singleton;
+  with_stranger.emplace_back(1000, 1);  // Not a graph node.
+  EXPECT_EQ(Modularity(g, with_stranger), Modularity(g, explicit_singleton));
+  // No labels at all: every node is a singleton.
+  NodeInts singletons;
+  for (NodeId v = 0; v < 10; ++v) singletons.emplace_back(v, v);
+  EXPECT_EQ(Modularity(g, {}), Modularity(g, singletons));
+}
+
 TEST(ModularityTest, EmptyGraphIsZero) {
   UndirectedGraph g;
   EXPECT_DOUBLE_EQ(Modularity(g, {}), 0.0);

@@ -8,21 +8,6 @@
 namespace ringo {
 namespace {
 
-// Naive peeling reference: repeatedly delete nodes of degree < k.
-UndirectedGraph NaiveKCore(UndirectedGraph g, int64_t k) {
-  bool changed = true;
-  while (changed) {
-    changed = false;
-    for (NodeId id : g.SortedNodeIds()) {
-      if (g.Degree(id) < k) {
-        g.DelNode(id);
-        changed = true;
-      }
-    }
-  }
-  return g;
-}
-
 TEST(CoreNumbersTest, CompleteGraph) {
   const UndirectedGraph g = gen::Complete(5);
   for (const auto& [id, core] : CoreNumbers(g)) {
@@ -65,7 +50,7 @@ TEST(KCoreSubgraphTest, MatchesNaivePeeling) {
     UndirectedGraph g = testing::RandomUndirected(60, 200, seed);
     for (int64_t k : {1, 2, 3, 4}) {
       const UndirectedGraph fast = KCoreSubgraph(g, k);
-      const UndirectedGraph ref = NaiveKCore(g, k);
+      const UndirectedGraph ref = testing::NaiveKCore(g, k);
       EXPECT_TRUE(fast.SameStructure(ref))
           << "seed=" << seed << " k=" << k;
     }

@@ -5,9 +5,11 @@
 #define RINGO_TESTS_TEST_SUPPORT_H_
 
 #include <algorithm>
+#include <map>
 #include <set>
 #include <vector>
 
+#include "algo/algo_defs.h"
 #include "graph/directed_graph.h"
 #include "graph/undirected_graph.h"
 #include "table/table.h"
@@ -81,6 +83,92 @@ inline int64_t BruteTriangles(const UndirectedGraph& g) {
     }
   }
   return count;
+}
+
+// Per-node triangle participation by brute force: for every node, the
+// number of adjacent pairs among its distinct non-self neighbors. Returned
+// as (id, count) ascending by id, like NodeTriangles.
+inline NodeInts BruteNodeTriangles(const UndirectedGraph& g) {
+  NodeInts out;
+  for (NodeId u : g.SortedNodeIds()) {
+    std::vector<NodeId> nbrs;
+    for (NodeId v : g.GetNode(u)->nbrs) {
+      if (v != u) nbrs.push_back(v);
+    }
+    int64_t t = 0;
+    for (size_t a = 0; a < nbrs.size(); ++a) {
+      for (size_t b = a + 1; b < nbrs.size(); ++b) {
+        if (g.HasEdge(nbrs[a], nbrs[b])) ++t;
+      }
+    }
+    out.emplace_back(u, t);
+  }
+  return out;
+}
+
+// Naive peeling reference: repeatedly delete nodes of degree < k. A
+// self-loop counts 1 toward its node's degree.
+inline UndirectedGraph NaiveKCore(UndirectedGraph g, int64_t k) {
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (NodeId id : g.SortedNodeIds()) {
+      if (g.Degree(id) < k) {
+        g.DelNode(id);
+        changed = true;
+      }
+    }
+  }
+  return g;
+}
+
+// Core numbers from the definition: a node's core number is the largest k
+// whose k-core (NaiveKCore) still contains it. Peels k = 1, 2, ... on the
+// previous core until the graph is empty. (id, core) ascending by id.
+inline NodeInts NaiveCoreNumbers(const UndirectedGraph& g) {
+  std::map<NodeId, int64_t> core;
+  for (NodeId id : g.SortedNodeIds()) core[id] = 0;
+  UndirectedGraph cur = g;
+  for (int64_t k = 1; cur.NumNodes() > 0; ++k) {
+    cur = NaiveKCore(std::move(cur), k);
+    for (NodeId id : cur.SortedNodeIds()) core[id] = k;
+  }
+  return NodeInts(core.begin(), core.end());
+}
+
+// Newman modularity straight from its definition,
+//   Q = 1/2m · sum_{u,v} [A_uv - k_u·k_v / 2m] · δ(c_u, c_v),
+// over every ordered node pair, with A_uu = 2 for a self-loop and
+// k_u = sum_v A_uv. Labels may be any int64 values; a node missing from
+// `labels` is its own singleton community.
+inline double BruteModularity(const UndirectedGraph& g,
+                              const NodeInts& labels) {
+  const double m2 = 2.0 * static_cast<double>(g.NumEdges());
+  if (m2 == 0) return 0.0;
+  const std::vector<NodeId> ids = g.SortedNodeIds();
+  std::map<NodeId, int64_t> label_of(labels.begin(), labels.end());
+  auto same = [&](NodeId u, NodeId v) {
+    if (u == v) return true;
+    const auto lu = label_of.find(u);
+    const auto lv = label_of.find(v);
+    return lu != label_of.end() && lv != label_of.end() &&
+           lu->second == lv->second;
+  };
+  auto a = [&](NodeId u, NodeId v) -> double {
+    if (!g.HasEdge(u, v)) return 0.0;
+    return u == v ? 2.0 : 1.0;
+  };
+  std::map<NodeId, double> k;
+  for (NodeId u : ids) {
+    for (NodeId v : g.GetNode(u)->nbrs) k[u] += a(u, v);
+  }
+  double q = 0.0;
+  for (NodeId u : ids) {
+    for (NodeId v : ids) {
+      if (same(u, v)) q += a(u, v) - k[u] * k[v] / m2;
+    }
+  }
+  return q / m2;
 }
 
 // Brute-force BFS distances via Floyd–Warshall-free repeated relaxation.

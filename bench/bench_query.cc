@@ -2,13 +2,14 @@
 // BENCH_query.json.
 //
 // The pair of rows runs the SAME script — select a quarter of a wide edge
-// table, build a graph, PageRank it, keep the top-k — once with the fusion
-// pass on and once with it off:
+// table, build a graph, PageRank it, keep the top-k — once through
+// RunScript and once through the staged pipeline without the fusion pass:
 //
 //   * Fused:   Select→Graph fuses to one kFilteredGraph node, so the
 //              predicate feeds the conversion's extract phase directly and
 //              the filtered copy of the 19-column table never exists.
-//   * Unfused: the select materializes all nineteen columns of every matching
+//   * Unfused: Parse → PlanScript → ExecutePlan with no FusePlan call; the
+//              select materializes all nineteen columns of every matching
 //              row before the graph build reads two of them.
 //
 // The table is deliberately wide (sixteen float payload columns beyond
@@ -20,11 +21,12 @@
 // faster. Absolute times are informational.
 #include <benchmark/benchmark.h>
 
-#include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 
 #include "bench/bench_common.h"
+#include "query/parser.h"
 #include "query/planner.h"
 #include "query/query.h"
 #include "util/metrics.h"
@@ -74,14 +76,29 @@ const TablePtr& SharedWideTable() {
   return t;
 }
 
+// The unfused reference: RunScript's stages minus FusePlan, summarized the
+// way RunScript summarizes a table root.
+Result<query::RunResult> RunUnfused(const query::RunOptions& opts) {
+  RINGO_ASSIGN_OR_RETURN(const query::Script ast, query::Parse(kScript));
+  std::map<std::string, Schema> schemas;
+  for (const auto& [name, t] : opts.bindings) schemas[name] = t->schema();
+  RINGO_ASSIGN_OR_RETURN(const query::Plan plan,
+                         query::PlanScript(ast, schemas));
+  RINGO_ASSIGN_OR_RETURN(
+      query::QueryValue value,
+      query::ExecutePlan(plan, query::ExecOptions{opts.pool, opts.bindings}));
+  query::RunResult out;
+  out.table = std::move(value.table);
+  out.rows = out.table->NumRows();
+  out.checksum = query::TableChecksum(*out.table);
+  return out;
+}
+
 void RunScriptRow(benchmark::State& state, bool fused) {
   const TablePtr& t = SharedWideTable();
   query::RunOptions opts;
   opts.pool = t->pool();
   opts.bindings["t"] = t;
-
-  const bool saved = query::FusionEnabled();
-  query::SetFusionEnabled(fused);
 
   int64_t rows = 0;
   int64_t fused_ops = 0;
@@ -90,14 +107,14 @@ void RunScriptRow(benchmark::State& state, bool fused) {
   for (auto _ : state) {
     const int64_t f0 = metrics::CounterValue("query/fused_ops");
     const int64_t e0 = metrics::CounterValue("query/exec_nodes");
-    Result<query::RunResult> r = query::RunScript(kScript, opts);
+    Result<query::RunResult> r =
+        fused ? query::RunScript(kScript, opts) : RunUnfused(opts);
     r.status().Abort("bench_query");
     rows = r->rows;
     checksum = r->checksum;
     fused_ops = metrics::CounterValue("query/fused_ops") - f0;
     exec_nodes = metrics::CounterValue("query/exec_nodes") - e0;
   }
-  query::SetFusionEnabled(saved);
 
   state.counters["bench_scale"] = benchmark::Counter(BenchScale());
   state.counters["table_rows"] = benchmark::Counter(double(t->NumRows()));

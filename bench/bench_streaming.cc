@@ -7,10 +7,10 @@
 // inserted + the previous batch's edges deleted) followed by AlgoView::Of
 // — the moment Of returns, any ported algorithm can run on a snapshot that
 // reflects the batch. The Delta rows refresh through the §11 delta-patch
-// path; the Rebuild rows run the same stream with deltacsr disabled, so
-// every refresh pays the full O(V+E) rebuild (the pre-§11 behavior). The
-// per-pair ratio is the headline claim: batched updates cost O(batch +
-// touched nodes), not O(V+E).
+// path; the Rebuild rows run the same stream but read an uncached
+// AlgoView::Build, so every refresh pays the full O(V+E) rebuild (the
+// pre-§11 behavior). The per-pair ratio is the headline claim: batched
+// updates cost O(batch + touched nodes), not O(V+E).
 //
 // Two batch mixes:
 //   * Hotspot: batch endpoints drawn from a hot 5% of nodes — the skewed
@@ -19,7 +19,7 @@
 //     threshold, so steady state never compacts (compactions_in_loop == 0
 //     is gated by scripts/check_bench_streaming.py).
 //   * Uniform: endpoints uniform over all nodes — touched nodes accumulate
-//     until the patched fraction crosses deltacsr::CompactionFraction, so
+//     until the patched fraction crosses kDeltaCompactionFraction, so
 //     this row shows the compaction policy amortizing (compactions_in_loop
 //     > 0) rather than the pure-patch fast path.
 //
@@ -35,8 +35,7 @@
 #include <vector>
 
 #include "algo/algo_view.h"
-#include "algo/bfs.h"
-#include "algo/deltacsr_switch.h"
+#include "algo/bfs_engine.h"
 #include "algo/transform.h"
 #include "bench/bench_common.h"
 #include "core/conversion.h"
@@ -104,12 +103,12 @@ void ReportCommon(benchmark::State& state, int64_t batch_edges) {
   state.counters["bench_scale"] = benchmark::Counter(BenchScale());
 }
 
-// One streaming row. `use_delta` selects the refresh path; `query` adds a
-// BFS from `query_src` to the timed region.
+// One streaming row. `use_delta` selects the refresh path (cached Of vs
+// uncached Build); `query` adds a BFS from `query_src` over the refreshed
+// view to the timed region.
 template <typename Graph>
 void RunStreamingRow(benchmark::State& state, Graph g, bool use_delta,
                      bool hotspot, bool query, NodeId query_src) {
-  deltacsr::ScopedEnable toggle(use_delta);
   const int64_t batch_edges =
       std::max<int64_t>(1, g.NumEdges() / 100);  // 1% batch size.
   const bool undirected = !AlgoView::Of(g)->directed();  // Warms the base.
@@ -127,9 +126,13 @@ void RunStreamingRow(benchmark::State& state, Graph g, bool use_delta,
     const std::vector<Edge> del =
         i == 0 ? std::vector<Edge>{} : sets[(i - 1) % kNumSets];
     g.ApplyEdgeBatch(ins, del);
-    const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+    const std::shared_ptr<const AlgoView> view =
+        use_delta ? AlgoView::Of(g) : AlgoView::Build(g);
     benchmark::DoNotOptimize(view);
-    if (query) benchmark::DoNotOptimize(BfsDistances(g, query_src));
+    if (query) {
+      benchmark::DoNotOptimize(
+          bfs::Run(*view, view->IndexOf(query_src), BfsDir::kOut));
+    }
     ++i;
   }
   ReportCommon(state, batch_edges);

@@ -5,7 +5,8 @@ Usage: scripts/check_bench_query.py BENCH_query.json
 
 Gate for the BM_Query_ rows, run by run_bench.sh and the CI bench-smoke
 job. The two rows run the same script (wide-table select -> graph ->
-pagerank -> top_k) with the fusion pass on and off; the checks pin the
+pagerank -> top_k) through RunScript (fused) and through the staged
+parse -> plan -> execute pipeline without FusePlan; the checks pin the
 properties the pass claims, not the machine's speed:
 
   * both rows are present with a positive real_time and carry the
@@ -63,11 +64,11 @@ def main():
              f"fused vs {unfused['checksum']!r} unfused")
 
     if fused["fused_ops"] <= 0:
-        fail("fused row applied no fusion rewrites — is the "
-             "RINGO_QUERY_FUSE kill switch off?")
+        fail("fused row applied no fusion rewrites — did RunScript "
+             "stop calling FusePlan, or did a rule stop matching?")
     if unfused["fused_ops"] != 0:
-        fail(f"unfused row applied {unfused['fused_ops']} rewrites "
-             "with fusion disabled")
+        fail(f"unfused row applied {unfused['fused_ops']} rewrites — "
+             "the staged pipeline must not call FusePlan")
     if not (0 < fused["exec_nodes"] < unfused["exec_nodes"]):
         fail(f"fused plan ran {fused['exec_nodes']} nodes vs "
              f"{unfused['exec_nodes']} unfused — the orphaned select "

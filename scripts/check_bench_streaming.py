@@ -9,7 +9,7 @@ bench-smoke job. Structural checks always apply:
     the delta-CSR counters (metrics must be on in the bench binary);
   * Delta rows never fall back to a full snapshot rebuild inside the
     timed loop (builds_in_loop == 0) — the journal covered every batch;
-  * Rebuild rows (the deltacsr-disabled oracle arm) never delta-patch
+  * Rebuild rows (the uncached AlgoView::Build arm) never delta-patch
     and rebuild once per batch (builds_in_loop >= iterations);
   * hotspot Delta rows stay under the compaction threshold the whole
     run (compactions_in_loop == 0, delta_fraction < 0.15) — the patch
@@ -56,7 +56,7 @@ COUNTERS = ["batch_edges", "bench_scale", "builds_in_loop",
             "compactions_in_loop", "delta_applies_in_loop",
             "delta_fraction", "updates_per_sec"]
 
-# Must match deltacsr::CompactionFraction (src/algo/deltacsr_switch.h).
+# Must match kDeltaCompactionFraction (src/algo/algo_view.h).
 COMPACTION_FRACTION = 0.15
 
 RATIO_GATE = 5.0
@@ -89,8 +89,8 @@ def main():
         else:
             if row["delta_applies_in_loop"] != 0:
                 fail(f"{name}: rebuild arm delta-patched "
-                     f"{row['delta_applies_in_loop']} time(s) — the "
-                     "deltacsr kill switch is broken")
+                     f"{row['delta_applies_in_loop']} time(s) — it must "
+                     "read an uncached AlgoView::Build every batch")
             if row["builds_in_loop"] < iters:
                 fail(f"{name}: only {row['builds_in_loop']} rebuilds for "
                      f"{iters} iterations")

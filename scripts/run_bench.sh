@@ -68,7 +68,8 @@ OMP_NUM_THREADS=1 \
   "$BUILD_DIR/bench/bench_serving" \
   --benchmark_format=json | tee BENCH_serving.json >/dev/null
 
-# Query front-end rows: the same script with the fusion pass on and off.
+# Query front-end rows: the same script fused (RunScript) and unfused (the
+# staged pipeline without FusePlan).
 # The gate is the pair's structure (identical results, fused_ops fired,
 # fewer plan nodes, >= 1.2x speedup), checked below. Like streaming, the
 # rows run at their own scale: below ~0.05 the parse/plan/PageRank fixed

@@ -5,7 +5,6 @@
 #include <utility>
 
 #include "algo/compactcsr_switch.h"
-#include "algo/deltacsr_switch.h"
 #include "graph/edge_batch.h"
 #include "graph/snapshot_cache.h"
 #include "util/metrics.h"
@@ -367,10 +366,9 @@ std::shared_ptr<const AlgoView> AlgoView::CachedOf(const Graph& g) {
   const auto prev = std::static_pointer_cast<const AlgoView>(claim.view);
 
   std::shared_ptr<const AlgoView> view;
-  if (deltacsr::Enabled() && prev != nullptr &&
-      g.delta_journal().Covers(claim.stamp, built_stamp)) {
+  if (prev != nullptr && g.delta_journal().Covers(claim.stamp, built_stamp)) {
     view = ApplyDelta(prev, g.delta_journal().OpsSince(claim.stamp),
-                      deltacsr::CompactionFraction(),
+                      kDeltaCompactionFraction,
                       g.delta_journal().NodesSince(claim.stamp));
     if (view != nullptr) {
       // The stale snapshot was patched forward, not discarded — counted

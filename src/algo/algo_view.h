@@ -22,13 +22,13 @@
 // pre-existing id (the graph checks its watermark before journaling), so
 // the patched view carries an extended NodeIndex whose new rows simply
 // append after the base rows. Once the patched-arc fraction crosses
-// deltacsr::CompactionFraction, the refresh folds everything into a fresh
+// kDeltaCompactionFraction, the refresh folds everything into a fresh
 // dense base ("algo_view/compact"). Non-journalable mutations (single-edge
 // calls, node deletes, table splicing) force a full rebuild
 // ("algo_view/build"); "algo_view/invalidate" counts only the stale
 // snapshots *discarded* by such a rebuild or a compaction — a delta-patched
-// refresh is not an invalidation. deltacsr::SetEnabled(false) disables
-// patching entirely — the parity oracle.
+// refresh is not an invalidation. The parity suites check every refresh
+// against an uncached Build(g).
 //
 // Layout invariants (identical for base spans and patch runs):
 //   * dense index i corresponds to the i-th smallest node id;
@@ -98,6 +98,11 @@ class NbrSpan {
   const int64_t* p_ = nullptr;
   size_t n_ = 0;
 };
+
+// Compaction threshold of the cached refresh: once the fraction of arcs
+// served from patch runs would exceed it, Of() folds everything into a
+// fresh dense base instead of patching (counter "algo_view/compact").
+inline constexpr double kDeltaCompactionFraction = 0.15;
 
 class AlgoView {
  public:

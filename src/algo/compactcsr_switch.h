@@ -4,12 +4,12 @@
 // With the switch on, AlgoView::BuildFull stores the base neighbor arrays
 // delta+varint-encoded and Out()/In() decode runs into pooled thread-local
 // scratch behind the same span-shaped interface; with the switch off
-// (default), the base stays plain flat arrays — the parity oracle. Same
-// discipline as radix::/deltacsr::SetEnabled, with one deliberate
-// inversion: the compact layout is *opt-in* (env RINGO_COMPACT_CSR=on or
-// SetEnabled(true)) because it trades per-read decode CPU for ~3-4x less
-// memory per arc — the right default for beyond-RAM datasets, not for the
-// latency-tracked benchmark rows.
+// (default), the base stays plain flat arrays — the parity oracle. It is
+// the library's one process-wide path selector because it is a real
+// space/time trade, not an oracle toggle. The compact layout is *opt-in*
+// (env RINGO_COMPACT_CSR=on or SetEnabled(true)) because it trades
+// per-read decode CPU for ~3-4x less memory per arc — the right default
+// for beyond-RAM datasets, not for the latency-tracked benchmark rows.
 //
 // The switch is sampled when a base CSR is built; already-built snapshots
 // keep their layout, so toggling never invalidates cached views. Patch

@@ -65,15 +65,9 @@ struct SortedPairs {
       });
       // Edge = pair<int64, int64>: the radix kernel sorts the packed
       // 128-bit (src, dst) keys directly — the hot half of the sort-first
-      // conversion (§2.4). Both kernels yield the identical (total-order)
-      // result.
-      if (radix::Enabled()) {
-        RadixSortI64Pairs(fwd.data(), n);
-        RadixSortI64Pairs(rev.data(), n);
-      } else {
-        ParallelSort(fwd.begin(), fwd.end());
-        ParallelSort(rev.begin(), rev.end());
-      }
+      // conversion (§2.4).
+      RadixSortI64Pairs(fwd.data(), n);
+      RadixSortI64Pairs(rev.data(), n);
     }
     trace::Span span(count_span);
     // Distinct nodes = union of the two sorted first-components.
@@ -274,32 +268,25 @@ Result<WeightedGraphResult> TableToWeightedGraph(const Table& t,
     return wc.type() == ColumnType::kInt ? static_cast<double>(wc.GetInt(i))
                                          : wc.GetFloat(i);
   };
-  if (radix::Enabled()) {
-    // Sort (src, dst, row) records and accumulate each run. Stability keeps
-    // rows of one edge in ascending row order, so the per-edge accumulation
-    // order — hence the floating-point sum — is bit-identical to the
-    // sequential row-order loop below.
-    std::vector<KeyRow2> recs(n);
-    ParallelFor(0, n, [&](int64_t i) {
-      recs[i] = {radix::Int64Key(src[i]), radix::Int64Key(dst[i]), i};
-    });
-    RadixSortKeyRows2(recs.data(), n);
-    for (int64_t i = 0; i < n;) {
-      int64_t j = i;
-      double acc = 0.0;
-      while (j < n && recs[j].hi == recs[i].hi && recs[j].lo == recs[i].lo) {
-        acc += weight_at(recs[j].row);
-        ++j;
-      }
-      // Duplicate rows accumulate onto the single collapsed edge.
-      out.weights.Set(src[recs[i].row], dst[recs[i].row], acc);
-      i = j;
+  // Sort (src, dst, row) records and accumulate each run. Stability keeps
+  // rows of one edge in ascending row order, so the per-edge accumulation
+  // order — hence the floating-point sum — is bit-identical to a
+  // sequential row-order loop.
+  std::vector<KeyRow2> recs(n);
+  ParallelFor(0, n, [&](int64_t i) {
+    recs[i] = {radix::Int64Key(src[i]), radix::Int64Key(dst[i]), i};
+  });
+  RadixSortKeyRows2(recs.data(), n);
+  for (int64_t i = 0; i < n;) {
+    int64_t j = i;
+    double acc = 0.0;
+    while (j < n && recs[j].hi == recs[i].hi && recs[j].lo == recs[i].lo) {
+      acc += weight_at(recs[j].row);
+      ++j;
     }
-  } else {
-    for (int64_t i = 0; i < n; ++i) {
-      out.weights.Set(src[i], dst[i],
-                      out.weights.Get(src[i], dst[i], 0.0) + weight_at(i));
-    }
+    // Duplicate rows accumulate onto the single collapsed edge.
+    out.weights.Set(src[recs[i].row], dst[recs[i].row], acc);
+    i = j;
   }
   return out;
 }
@@ -332,11 +319,7 @@ TablePtr GraphToEdgeTable(const DirectedGraph& g,
   // Partition nodes (ascending id) and pre-compute each node's slice of the
   // output table; threads then write disjoint ranges.
   std::vector<NodeId> ids = g.NodeIds();
-  if (radix::Enabled()) {
-    RadixSortI64(ids);
-  } else {
-    ParallelSort(ids.begin(), ids.end());
-  }
+  RadixSortI64(ids);
   const int64_t nn = static_cast<int64_t>(ids.size());
   std::vector<int64_t> offsets(nn + 1, 0);
   ParallelFor(0, nn, [&](int64_t i) {
@@ -374,11 +357,7 @@ TablePtr GraphToNodeTable(const DirectedGraph& g,
   TablePtr out = Table::Create(std::move(schema), std::move(pool));
 
   std::vector<NodeId> ids = g.NodeIds();
-  if (radix::Enabled()) {
-    RadixSortI64(ids);
-  } else {
-    ParallelSort(ids.begin(), ids.end());
-  }
+  RadixSortI64(ids);
   const int64_t nn = static_cast<int64_t>(ids.size());
   Column& c_id = out->mutable_column(0);
   Column& c_in = out->mutable_column(1);

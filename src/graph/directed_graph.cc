@@ -6,16 +6,6 @@
 
 namespace ringo {
 
-namespace {
-
-// Journal cap: replaying a delta comparable to the graph itself is slower
-// than one rebuild, so the journal gives up well before that.
-int64_t JournalCap(int64_t num_edges) {
-  return std::max<int64_t>(4096, num_edges / 2);
-}
-
-}  // namespace
-
 DirectedGraph::DirectedGraph(const DirectedGraph& other) {
   std::shared_lock<std::shared_mutex> lk(other.structure_mu_);
   nodes_ = other.nodes_;
@@ -72,24 +62,6 @@ DirectedGraph& DirectedGraph::operator=(DirectedGraph&& other) noexcept {
   return *this;
 }
 
-bool DirectedGraph::SortedInsert(std::vector<NodeId>& vec, NodeId v) {
-  auto it = std::lower_bound(vec.begin(), vec.end(), v);
-  if (it != vec.end() && *it == v) return false;
-  vec.insert(it, v);
-  return true;
-}
-
-bool DirectedGraph::SortedErase(std::vector<NodeId>& vec, NodeId v) {
-  auto it = std::lower_bound(vec.begin(), vec.end(), v);
-  if (it == vec.end() || *it != v) return false;
-  vec.erase(it);
-  return true;
-}
-
-bool DirectedGraph::SortedContains(const std::vector<NodeId>& vec, NodeId v) {
-  return std::binary_search(vec.begin(), vec.end(), v);
-}
-
 bool DirectedGraph::EnsureNode(NodeId id) {
   const bool inserted = nodes_.Insert(id, NodeData{}).second;
   if (inserted) next_node_id_ = std::max(next_node_id_, id + 1);
@@ -126,11 +98,11 @@ bool DirectedGraph::AddEdge(NodeId src, NodeId dst) {
   EnsureNode(src);
   EnsureNode(dst);
   NodeData* s = nodes_.Find(src);
-  if (!SortedInsert(s->out, dst)) return false;
+  if (!edgebatch::SortedInsert(s->out, dst)) return false;
   // Re-find dst because the EnsureNode calls above may have rehashed before
   // we took `s` — order matters: both EnsureNode calls precede both Finds.
   NodeData* d = nodes_.Find(dst);
-  SortedInsert(d->in, src);
+  edgebatch::SortedInsert(d->in, src);
   ++num_edges_;
   BumpStamp();
   return true;
@@ -139,9 +111,9 @@ bool DirectedGraph::AddEdge(NodeId src, NodeId dst) {
 bool DirectedGraph::DelEdge(NodeId src, NodeId dst) {
   std::unique_lock<std::shared_mutex> lk(structure_mu_);
   NodeData* s = nodes_.Find(src);
-  if (s == nullptr || !SortedErase(s->out, dst)) return false;
+  if (s == nullptr || !edgebatch::SortedErase(s->out, dst)) return false;
   NodeData* d = nodes_.Find(dst);
-  SortedErase(d->in, src);
+  edgebatch::SortedErase(d->in, src);
   --num_edges_;
   BumpStamp();
   return true;
@@ -157,12 +129,12 @@ bool DirectedGraph::DelNode(NodeId id) {
   for (NodeId dst : nd->out) {
     ++removed;
     if (dst == id) continue;
-    SortedErase(nodes_.Find(dst)->in, id);
+    edgebatch::SortedErase(nodes_.Find(dst)->in, id);
   }
   for (NodeId src : nd->in) {
     if (src == id) continue;  // Self-loop already counted via `out`.
     ++removed;
-    SortedErase(nodes_.Find(src)->out, id);
+    edgebatch::SortedErase(nodes_.Find(src)->out, id);
   }
   num_edges_ -= removed;
   nodes_.Erase(id);
@@ -234,7 +206,8 @@ EdgeBatchStats DirectedGraph::ApplyEdgeBatch(std::vector<Edge> inserts,
         cached_u = e.first;
         cached_nd = nodes_.Find(e.first);
       }
-      return cached_nd != nullptr && SortedContains(cached_nd->out, e.second);
+      return cached_nd != nullptr &&
+             edgebatch::SortedContains(cached_nd->out, e.second);
     };
     size_t ii = 0, di = 0;
     while (ii < inserts.size() || di < deletes.size()) {
@@ -303,7 +276,7 @@ EdgeBatchStats DirectedGraph::ApplyEdgeBatch(std::vector<Edge> inserts,
   RadixSortI64(created);
   if (created.empty() || created.front() >= pre_watermark) {
     journal_.AppendBatch(stamp_.load(std::memory_order_relaxed),
-                         std::move(ops), JournalCap(num_edges_),
+                         std::move(ops), edgebatch::JournalCap(num_edges_),
                          std::move(created));
   } else {
     journal_.Invalidate();
@@ -320,7 +293,7 @@ EdgeBatchStats DirectedGraph::ApplyEdgeBatch(std::vector<Edge> inserts,
 
 bool DirectedGraph::HasEdge(NodeId src, NodeId dst) const {
   const NodeData* s = nodes_.Find(src);
-  return s != nullptr && SortedContains(s->out, dst);
+  return s != nullptr && edgebatch::SortedContains(s->out, dst);
 }
 
 int64_t DirectedGraph::OutDegree(NodeId id) const {

@@ -191,11 +191,6 @@ class DirectedGraph {
   void TrimDeltaJournal(uint64_t stamp) const { journal_.TrimThrough(stamp); }
 
  private:
-  // Inserts v into sorted vec if absent; returns false if present.
-  static bool SortedInsert(std::vector<NodeId>& vec, NodeId v);
-  static bool SortedErase(std::vector<NodeId>& vec, NodeId v);
-  static bool SortedContains(const std::vector<NodeId>& vec, NodeId v);
-
   // Inserts the node without bumping the stamp (mutation entry points bump
   // exactly once after they know the mutation was effective). Caller holds
   // the exclusive structure lock.

@@ -10,7 +10,8 @@
 //      touched node's sorted vector with ONE linear merge instead of k
 //      repeated O(deg) sorted inserts — groups are disjoint, so the merges
 //      run in parallel.
-// The helpers here are the pieces both graphs share; the per-class glue
+// The helpers here are the pieces both graphs share (plus the single-edge
+// sorted-vector primitives and the journal cap); the per-class glue
 // (in/out vs. single nbrs vector, endpoint normalization) lives in the
 // graph .cc files.
 #ifndef RINGO_GRAPH_EDGE_BATCH_H_
@@ -39,6 +40,32 @@ struct EdgeBatchStats {
 };
 
 namespace edgebatch {
+
+// Journal cap: replaying a delta comparable to the graph itself is slower
+// than one rebuild, so the journal gives up well before that.
+inline int64_t JournalCap(int64_t num_edges) {
+  return std::max<int64_t>(4096, num_edges / 2);
+}
+
+// Single-edge maintenance of one sorted adjacency vector. Insert returns
+// false when v is already present, Erase when it is absent.
+inline bool SortedInsert(std::vector<NodeId>& vec, NodeId v) {
+  auto it = std::lower_bound(vec.begin(), vec.end(), v);
+  if (it != vec.end() && *it == v) return false;
+  vec.insert(it, v);
+  return true;
+}
+
+inline bool SortedErase(std::vector<NodeId>& vec, NodeId v) {
+  auto it = std::lower_bound(vec.begin(), vec.end(), v);
+  if (it == vec.end() || *it != v) return false;
+  vec.erase(it);
+  return true;
+}
+
+inline bool SortedContains(const std::vector<NodeId>& vec, NodeId v) {
+  return std::binary_search(vec.begin(), vec.end(), v);
+}
 
 // Sorts by (first, second) with the radix kernel and drops duplicates.
 // Already-sorted input (producers that maintain sorted batches, and the

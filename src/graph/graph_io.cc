@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <fstream>
+#include <functional>
 #include <vector>
 
 #include "util/string_util.h"
@@ -143,6 +144,18 @@ Result<DirectedGraph> LoadGraphBinary(const std::string& path) {
       num_edges < 0) {
     return Status::IOError("corrupt header in '" + path + "'");
   }
+  // Header counts are untrusted: every node block takes at least 16 bytes
+  // (id + degree) and every edge 8 more, so counts the remaining bytes
+  // cannot hold are rejected before anything is allocated for them.
+  const std::streamoff body_start = in.tellg();
+  in.seekg(0, std::ios::end);
+  int64_t bytes_left = static_cast<int64_t>(in.tellg() - body_start);
+  in.seekg(body_start);
+  constexpr int64_t kNodeHeader = sizeof(NodeId) + sizeof(int64_t);
+  if (!in || num_nodes > bytes_left / kNodeHeader ||
+      num_edges > bytes_left / static_cast<int64_t>(sizeof(NodeId))) {
+    return Status::IOError("header counts exceed the size of '" + path + "'");
+  }
 
   DirectedGraph g;
   g.ReserveNodes(num_nodes);
@@ -153,18 +166,25 @@ Result<DirectedGraph> LoadGraphBinary(const std::string& path) {
   for (int64_t i = 0; i < num_nodes; ++i) {
     NodeId id = 0;
     int64_t deg = 0;
+    bytes_left -= kNodeHeader;
     if (!ReadPod(in, &id) || !ReadPod(in, &deg) || deg < 0 ||
-        deg > num_edges) {
+        deg > num_edges - edges_seen ||
+        deg > bytes_left / static_cast<int64_t>(sizeof(NodeId))) {
       return Status::IOError("corrupt node block in '" + path + "'");
     }
+    bytes_left -= deg * static_cast<int64_t>(sizeof(NodeId));
     std::vector<NodeId> out(deg);
     in.read(reinterpret_cast<char*>(out.data()),
             static_cast<std::streamsize>(deg * sizeof(NodeId)));
     if (!in) {
       return Status::IOError("truncated adjacency in '" + path + "'");
     }
-    if (!std::is_sorted(out.begin(), out.end())) {
-      return Status::IOError("unsorted adjacency in '" + path + "'");
+    // Strictly ascending: a repeated neighbour would load as a parallel
+    // edge that NumEdges counts twice and DelEdge removes only once.
+    if (std::adjacent_find(out.begin(), out.end(),
+                           std::greater_equal<NodeId>()) != out.end()) {
+      return Status::IOError("unsorted or duplicate adjacency in '" + path +
+                             "'");
     }
     edges_seen += deg;
     if (!g.AddNode(id)) {

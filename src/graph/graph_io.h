@@ -25,10 +25,12 @@ namespace ringo {
 Status SaveEdgeList(const DirectedGraph& g, const std::string& path);
 Result<DirectedGraph> LoadEdgeList(const std::string& path);
 
-// Binary snapshot: magic + node/edge counts + per-node id and sorted
-// out-adjacency. Restores the exact structure including isolated nodes.
-// The format is little-endian and versioned; loading rejects foreign or
-// truncated files with IOError.
+// Binary snapshot: magic + node/edge counts + per-node id and strictly
+// ascending out-adjacency. Restores the exact structure including isolated
+// nodes. The format is little-endian and versioned; loading rejects
+// foreign, truncated or inconsistent files (header counts the file size
+// cannot hold, unsorted or duplicate neighbours, edges to unknown nodes)
+// with IOError, before allocating for any count it has not checked.
 Status SaveGraphBinary(const DirectedGraph& g, const std::string& path);
 Result<DirectedGraph> LoadGraphBinary(const std::string& path);
 

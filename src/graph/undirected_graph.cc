@@ -8,10 +8,6 @@ namespace ringo {
 
 namespace {
 
-int64_t JournalCap(int64_t num_edges) {
-  return std::max<int64_t>(4096, num_edges / 2);
-}
-
 // Unordered edge pairs: (u, v) and (v, u) name the same edge, so batches
 // are normalized to u <= v before sorting/deduping (and journaled that way).
 void Normalize(std::vector<Edge>& edges) {
@@ -78,20 +74,6 @@ UndirectedGraph& UndirectedGraph::operator=(UndirectedGraph&& other) noexcept {
   return *this;
 }
 
-bool UndirectedGraph::SortedInsert(std::vector<NodeId>& vec, NodeId v) {
-  auto it = std::lower_bound(vec.begin(), vec.end(), v);
-  if (it != vec.end() && *it == v) return false;
-  vec.insert(it, v);
-  return true;
-}
-
-bool UndirectedGraph::SortedErase(std::vector<NodeId>& vec, NodeId v) {
-  auto it = std::lower_bound(vec.begin(), vec.end(), v);
-  if (it == vec.end() || *it != v) return false;
-  vec.erase(it);
-  return true;
-}
-
 bool UndirectedGraph::EnsureNode(NodeId id) {
   const bool inserted = nodes_.Insert(id, NodeData{}).second;
   if (inserted) next_node_id_ = std::max(next_node_id_, id + 1);
@@ -123,8 +105,8 @@ bool UndirectedGraph::AddEdge(NodeId src, NodeId dst) {
   // One bump per effective mutation; a no-op insert never bumps.
   EnsureNode(src);
   EnsureNode(dst);
-  if (!SortedInsert(nodes_.Find(src)->nbrs, dst)) return false;
-  if (src != dst) SortedInsert(nodes_.Find(dst)->nbrs, src);
+  if (!edgebatch::SortedInsert(nodes_.Find(src)->nbrs, dst)) return false;
+  if (src != dst) edgebatch::SortedInsert(nodes_.Find(dst)->nbrs, src);
   ++num_edges_;
   BumpStamp();
   return true;
@@ -133,8 +115,8 @@ bool UndirectedGraph::AddEdge(NodeId src, NodeId dst) {
 bool UndirectedGraph::DelEdge(NodeId src, NodeId dst) {
   std::unique_lock<std::shared_mutex> lk(structure_mu_);
   NodeData* s = nodes_.Find(src);
-  if (s == nullptr || !SortedErase(s->nbrs, dst)) return false;
-  if (src != dst) SortedErase(nodes_.Find(dst)->nbrs, src);
+  if (s == nullptr || !edgebatch::SortedErase(s->nbrs, dst)) return false;
+  if (src != dst) edgebatch::SortedErase(nodes_.Find(dst)->nbrs, src);
   --num_edges_;
   BumpStamp();
   return true;
@@ -147,7 +129,7 @@ bool UndirectedGraph::DelNode(NodeId id) {
   num_edges_ -= static_cast<int64_t>(nd->nbrs.size());
   for (NodeId v : nd->nbrs) {
     if (v == id) continue;  // Self-loop: nothing to detach elsewhere.
-    SortedErase(nodes_.Find(v)->nbrs, id);
+    edgebatch::SortedErase(nodes_.Find(v)->nbrs, id);
   }
   nodes_.Erase(id);
   BumpStamp();
@@ -213,8 +195,7 @@ EdgeBatchStats UndirectedGraph::ApplyEdgeBatch(std::vector<Edge> inserts,
         cached_nd = nodes_.Find(e.first);
       }
       return cached_nd != nullptr &&
-             std::binary_search(cached_nd->nbrs.begin(),
-                                cached_nd->nbrs.end(), e.second);
+             edgebatch::SortedContains(cached_nd->nbrs, e.second);
     };
     size_t ii = 0, di = 0;
     while (ii < inserts.size() || di < deletes.size()) {
@@ -268,7 +249,7 @@ EdgeBatchStats UndirectedGraph::ApplyEdgeBatch(std::vector<Edge> inserts,
   if (created.empty() || created.front() >= pre_watermark) {
     edgebatch::SortOps(ops);
     journal_.AppendBatch(stamp_.load(std::memory_order_relaxed),
-                         std::move(ops), JournalCap(num_edges_),
+                         std::move(ops), edgebatch::JournalCap(num_edges_),
                          std::move(created));
   } else {
     journal_.Invalidate();
@@ -285,8 +266,7 @@ EdgeBatchStats UndirectedGraph::ApplyEdgeBatch(std::vector<Edge> inserts,
 
 bool UndirectedGraph::HasEdge(NodeId src, NodeId dst) const {
   const NodeData* s = nodes_.Find(src);
-  return s != nullptr &&
-         std::binary_search(s->nbrs.begin(), s->nbrs.end(), dst);
+  return s != nullptr && edgebatch::SortedContains(s->nbrs, dst);
 }
 
 int64_t UndirectedGraph::Degree(NodeId id) const {

@@ -132,9 +132,6 @@ class UndirectedGraph {
   void TrimDeltaJournal(uint64_t stamp) const { journal_.TrimThrough(stamp); }
 
  private:
-  static bool SortedInsert(std::vector<NodeId>& vec, NodeId v);
-  static bool SortedErase(std::vector<NodeId>& vec, NodeId v);
-
   // Inserts the node without bumping the stamp; see DirectedGraph. Caller
   // holds the exclusive structure lock.
   bool EnsureNode(NodeId id);

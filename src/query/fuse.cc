@@ -2,9 +2,6 @@
 // are purely structural — they never change the result, only how much
 // intermediate state is materialized — and every rule requires the
 // fused-away node to have exactly one consumer.
-#include <atomic>
-#include <cstdlib>
-
 #include "query/planner.h"
 #include "util/metrics.h"
 #include "util/trace.h"
@@ -13,13 +10,6 @@ namespace ringo {
 namespace query {
 
 namespace {
-
-std::atomic<bool> g_fusion_enabled{[] {
-  const char* env = std::getenv("RINGO_QUERY_FUSE");
-  if (env == nullptr) return true;
-  const std::string v(env);
-  return !(v == "off" || v == "0" || v == "false");
-}()};
 
 // Consumer counts; the root counts as one use (its value is returned).
 std::vector<int> UseCounts(const Plan& plan) {
@@ -131,16 +121,8 @@ int PruneGroupByAggs(Plan* plan) {
 
 }  // namespace
 
-bool FusionEnabled() {
-  return g_fusion_enabled.load(std::memory_order_relaxed);
-}
-
-void SetFusionEnabled(bool on) {
-  g_fusion_enabled.store(on, std::memory_order_relaxed);
-}
-
 int FusePlan(Plan* plan) {
-  if (!FusionEnabled() || plan == nullptr || plan->root < 0) return 0;
+  if (plan == nullptr || plan->root < 0) return 0;
   RINGO_TRACE_SPAN("Query/fuse");
   int total = 0;
   for (int round = 0; round < 8; ++round) {  // To a fixpoint; 8 is plenty.

@@ -15,9 +15,10 @@
 //   * GroupBy aggregate pruning: aggregates whose outputs a following
 //     project discards are never computed.
 // Each rewrite fires only when the fused-away node has exactly one
-// consumer, so shared intermediates keep their materialized form. The pass
-// is gated by SetFusionEnabled (kill switch, mirroring radix::SetEnabled)
-// and counted in query/fused_ops plus one counter per rule.
+// consumer, so shared intermediates keep their materialized form. RunScript
+// always fuses; the unfused reference is the staged pipeline Parse →
+// PlanScript → ExecutePlan without the FusePlan call. Rewrites are counted
+// in query/fused_ops plus one counter per rule.
 #ifndef RINGO_QUERY_PLANNER_H_
 #define RINGO_QUERY_PLANNER_H_
 
@@ -87,14 +88,9 @@ struct Plan {
 Result<Plan> PlanScript(const Script& script,
                         const std::map<std::string, Schema>& bindings = {});
 
-// Fusion pass; returns the number of rewrites applied (0 when fusion is
-// disabled). Safe to call repeatedly — it runs to a fixpoint.
+// Fusion pass; returns the number of rewrites applied. Safe to call
+// repeatedly — it runs to a fixpoint.
 int FusePlan(Plan* plan);
-
-// Kill switch for the fusion pass, on by default (also reads the
-// RINGO_QUERY_FUSE environment variable once: "off"/"0"/"false" disable).
-bool FusionEnabled();
-void SetFusionEnabled(bool on);
 
 // One line per node, "#id = op(#inputs, params) [schema]", then
 // "root = #id" — the representation the golden planner tests snapshot.

@@ -1,7 +1,9 @@
 // The query front-end's one-call entry point: parse → plan → fuse →
 // execute a whole script (see query/ast.h for the language). The staged
 // pipeline is observable as trace spans Query/{parse,plan,fuse,exec} and
-// counters query/{parse,plan,fused_ops,exec_nodes}.
+// counters query/{parse,plan,fused_ops,exec_nodes}. RunScript always
+// fuses; the stages are public (Parse, PlanScript, FusePlan, ExecutePlan),
+// so the unfused reference is the same pipeline without FusePlan.
 //
 // Embedders with a Ringo engine use Ringo::RunQuery (core/engine.h), which
 // routes here with the engine's shared string pool; the serving layer runs
@@ -41,6 +43,10 @@ struct RunResult {
 
 Result<RunResult> RunScript(std::string_view script,
                             const RunOptions& opts = {});
+
+// Sum of every numeric cell (ints widened to double; string ids, which
+// depend on interning order, stay out) — RunResult's table checksum.
+double TableChecksum(const Table& t);
 
 }  // namespace query
 }  // namespace ringo

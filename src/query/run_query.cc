@@ -13,10 +13,6 @@
 namespace ringo {
 namespace query {
 
-namespace {
-
-// Sum of every numeric cell (ints widened to double) — the deterministic
-// content fingerprint QueryResult-style consumers compare across runs.
 double TableChecksum(const Table& t) {
   double sum = 0.0;
   for (int c = 0; c < t.num_columns(); ++c) {
@@ -36,8 +32,6 @@ double TableChecksum(const Table& t) {
   }
   return sum;
 }
-
-}  // namespace
 
 Result<RunResult> RunScript(std::string_view script, const RunOptions& opts) {
   trace::Span span("Query/run");

@@ -20,21 +20,7 @@ Result<int64_t> Table::GroupIndex(const std::vector<std::string>& group_cols,
 
   std::vector<int64_t> perm;
   std::vector<uint8_t> new_run;
-  // Radix path: sort normalized (key, row) pairs and read run boundaries
-  // off the keys; comparison fallback for 3+ group columns.
-  if (!internal::SortedPermByKeys(*this, idx, {}, &perm, &new_run)) {
-    RowComparator cmp(this, this, idx, idx);
-    perm.resize(num_rows_);
-    std::iota(perm.begin(), perm.end(), 0);
-    ParallelSort(perm.begin(), perm.end(), [&](int64_t a, int64_t b) {
-      const int c = cmp.Compare(a, b);
-      return c != 0 ? c < 0 : a < b;
-    });
-    new_run.assign(num_rows_, 0);
-    for (int64_t i = 0; i < num_rows_; ++i) {
-      new_run[i] = (i == 0 || !cmp.Equal(perm[i - 1], perm[i])) ? 1 : 0;
-    }
-  }
+  internal::SortedPermByKeys(*this, idx, {}, &perm, &new_run);
 
   // Runs of equal keys → provisional group ids in sorted order.
   std::vector<int64_t> run_id(num_rows_);

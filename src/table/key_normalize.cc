@@ -2,6 +2,7 @@
 
 #include <numeric>
 
+#include "table/row_compare.h"
 #include "util/logging.h"
 #include "util/parallel.h"
 #include "util/radix_sort.h"
@@ -57,15 +58,47 @@ void NormalizedColumnKeys(const Table& t, int ci, bool ascending,
   RINGO_CHECK(false) << "unhandled column type";
 }
 
-bool SortedPermByKeys(const Table& t, const std::vector<int>& cols,
+namespace {
+
+// The comparison path for zero or three-plus key columns. The
+// physical-position tiebreak makes the order total, so the parallel
+// (unstable) sort yields exactly the stable-sort permutation.
+void ComparisonSortedPerm(const Table& t, const std::vector<int>& cols,
+                          const std::vector<bool>& ascending,
+                          std::vector<int64_t>* perm,
+                          std::vector<uint8_t>* new_run,
+                          int run_prefix_cols) {
+  const int64_t n = t.NumRows();
+  const RowComparator cmp(&t, &t, cols, cols, ascending);
+  perm->resize(n);
+  std::iota(perm->begin(), perm->end(), 0);
+  ParallelSort(perm->begin(), perm->end(), [&](int64_t a, int64_t b) {
+    const int c = cmp.Compare(a, b);
+    return c != 0 ? c < 0 : a < b;
+  });
+  if (new_run == nullptr) return;
+  const std::vector<int> prefix(cols.begin(), cols.begin() + run_prefix_cols);
+  const RowComparator run_cmp(&t, &t, prefix, prefix);
+  new_run->assign(n, 0);
+  for (int64_t i = 0; i < n; ++i) {
+    (*new_run)[i] =
+        (i == 0 || !run_cmp.Equal((*perm)[i - 1], (*perm)[i])) ? 1 : 0;
+  }
+}
+
+}  // namespace
+
+void SortedPermByKeys(const Table& t, const std::vector<int>& cols,
                       const std::vector<bool>& ascending,
                       std::vector<int64_t>* perm,
                       std::vector<uint8_t>* new_run, int run_prefix_cols) {
-  if (!radix::Enabled()) return false;
   const int k = static_cast<int>(cols.size());
-  if (k < 1 || k > 2) return false;
   if (run_prefix_cols < 0) run_prefix_cols = k;
-  RINGO_DCHECK(run_prefix_cols >= 1 && run_prefix_cols <= k);
+  RINGO_DCHECK(run_prefix_cols <= k);
+  if (k < 1 || k > 2) {
+    ComparisonSortedPerm(t, cols, ascending, perm, new_run, run_prefix_cols);
+    return;
+  }
   const int64_t n = t.NumRows();
   const auto asc = [&](int c) {
     return c < static_cast<int>(ascending.size()) ? !!ascending[c] : true;
@@ -86,7 +119,7 @@ bool SortedPermByKeys(const Table& t, const std::vector<int>& cols,
         (*new_run)[i] = (i == 0 || recs[i].key != recs[i - 1].key) ? 1 : 0;
       });
     }
-    return true;
+    return;
   }
 
   std::vector<uint64_t> k0(n), k1(n);
@@ -105,7 +138,6 @@ bool SortedPermByKeys(const Table& t, const std::vector<int>& cols,
                           : 0;
     });
   }
-  return true;
 }
 
 }  // namespace internal

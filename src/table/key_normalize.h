@@ -15,11 +15,12 @@
 //   * descending columns → bitwise complement of the key.
 //
 // Kernel selection: the radix path handles one or two key columns of any
-// scalar type; three or more key columns fall back to the comparison
-// ParallelSort through RowComparator (as does radix::SetEnabled(false)).
-// Both paths produce bit-identical permutations — the radix sort is
-// stable over an ascending-row input, which is exactly the comparison
-// path's physical-position tiebreak.
+// scalar type; three or more key columns take the comparison ParallelSort
+// through RowComparator, the only path for that input. The radix
+// permutation equals a stable comparison sort over RowComparator — the
+// radix sort is stable over an ascending-row input, which is exactly the
+// comparison path's physical-position tiebreak — and the parity suites
+// check it against such a reference in tests/.
 #ifndef RINGO_TABLE_KEY_NORMALIZE_H_
 #define RINGO_TABLE_KEY_NORMALIZE_H_
 
@@ -44,18 +45,16 @@ std::vector<uint32_t> ByteOrderRanks(const StringPool& pool);
 void NormalizedColumnKeys(const Table& t, int ci, bool ascending,
                           uint64_t* keys);
 
-// Sorts a row permutation of `t` by the normalized keys of `cols` (in
-// RowComparator order, physical position breaking ties), using the radix
-// kernel. Returns false — leaving the outputs untouched — when the radix
-// path does not apply (disabled, or more than two key columns); callers
-// then run the comparison path.
+// Sorts a row permutation of `t` by `cols` (RowComparator order, physical
+// position breaking ties) — the one sort entry point of every sort-driven
+// operator. One or two key columns take the radix kernel over normalized
+// keys; zero or three-plus take the comparison ParallelSort.
 //
-// On success fills `perm` and, when `new_run` is non-null, sets
-// (*new_run)[i] = 1 iff sorted position i starts a new run of rows that
-// are distinct on the first `run_prefix_cols` columns (default: all of
-// them). NextK passes run_prefix_cols = 1 to get group boundaries from a
-// (group, order) sort.
-bool SortedPermByKeys(const Table& t, const std::vector<int>& cols,
+// Fills `perm` and, when `new_run` is non-null, sets (*new_run)[i] = 1 iff
+// sorted position i starts a new run of rows that are distinct on the
+// first `run_prefix_cols` columns (default: all of them). NextK passes
+// run_prefix_cols = 1 to get group boundaries from a (group, order) sort.
+void SortedPermByKeys(const Table& t, const std::vector<int>& cols,
                       const std::vector<bool>& ascending,
                       std::vector<int64_t>* perm,
                       std::vector<uint8_t>* new_run = nullptr,

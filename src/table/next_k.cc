@@ -3,13 +3,9 @@
 // row is then joined to its up-to-k immediate successors. Typical use:
 // connect a user's consecutive actions, or each question to the next k
 // posts in a thread.
-#include <numeric>
-
 #include "table/key_normalize.h"
-#include "table/row_compare.h"
 #include "table/table.h"
 #include "table/table_build.h"
-#include "util/parallel.h"
 #include "util/trace.h"
 
 namespace ringo {
@@ -31,27 +27,11 @@ Result<TablePtr> Table::NextK(const Table& t, std::string_view group_col,
   // ties deterministic and respects input order. The radix path sorts
   // normalized (group, order, row) records and reads the group boundaries
   // off the group keys (run_prefix_cols = 1).
-  const std::vector<int> cols{gci, oci};
   const int64_t n = t.NumRows();
   std::vector<int64_t> perm;
   std::vector<uint8_t> new_group;
-  if (!internal::SortedPermByKeys(t, cols, {}, &perm, &new_group,
-                                  /*run_prefix_cols=*/1)) {
-    RowComparator cmp(&t, &t, cols, cols);
-    perm.resize(n);
-    std::iota(perm.begin(), perm.end(), 0);
-    ParallelSort(perm.begin(), perm.end(), [&](int64_t a, int64_t b) {
-      const int c = cmp.Compare(a, b);
-      return c != 0 ? c < 0 : a < b;
-    });
-    // Group boundaries = runs of equal group column.
-    const std::vector<int> gcols{gci};
-    RowComparator gcmp(&t, &t, gcols, gcols);
-    new_group.assign(n, 0);
-    for (int64_t i = 0; i < n; ++i) {
-      new_group[i] = (i == 0 || !gcmp.Equal(perm[i - 1], perm[i])) ? 1 : 0;
-    }
-  }
+  internal::SortedPermByKeys(t, {gci, oci}, {}, &perm, &new_group,
+                             /*run_prefix_cols=*/1);
 
   std::vector<int64_t> pred_rows, succ_rows;
   for (int64_t i = 0; i < n; ++i) {

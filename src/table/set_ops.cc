@@ -7,7 +7,6 @@
 #include "table/key_normalize.h"
 #include "table/row_compare.h"
 #include "table/table.h"
-#include "util/parallel.h"
 #include "util/trace.h"
 
 namespace ringo {
@@ -30,28 +29,15 @@ std::vector<int> AllColumns(const Table& t) {
 }
 
 // First physical row of each distinct full-row-content run, in content
-// order. Radix path for tables of 1–2 columns (the normalized key order
-// equals RowComparator's byte/value order, so the result stays consistent
-// with the cross-table merge-walks below); comparison sort otherwise.
-std::vector<int64_t> SortedDistinctFirsts(const Table& t,
-                                          const RowComparator& cmp) {
+// order (RowComparator's byte/value order, so the result stays consistent
+// with the cross-table merge-walks below).
+std::vector<int64_t> SortedDistinctFirsts(const Table& t) {
   std::vector<int64_t> perm;
   std::vector<uint8_t> new_run;
+  internal::SortedPermByKeys(t, AllColumns(t), {}, &perm, &new_run);
   std::vector<int64_t> firsts;
-  if (internal::SortedPermByKeys(t, AllColumns(t), {}, &perm, &new_run)) {
-    for (size_t i = 0; i < perm.size(); ++i) {
-      if (new_run[i]) firsts.push_back(perm[i]);
-    }
-    return firsts;
-  }
-  perm.resize(t.NumRows());
-  std::iota(perm.begin(), perm.end(), 0);
-  ParallelSort(perm.begin(), perm.end(), [&](int64_t x, int64_t y) {
-    const int c = cmp.Compare(x, y);
-    return c != 0 ? c < 0 : x < y;
-  });
   for (size_t i = 0; i < perm.size(); ++i) {
-    if (i == 0 || !cmp.Equal(perm[i - 1], perm[i])) firsts.push_back(perm[i]);
+    if (new_run[i]) firsts.push_back(perm[i]);
   }
   return firsts;
 }
@@ -93,12 +79,10 @@ Result<TablePtr> Table::IntersectTables(const Table& a, const Table& b) {
   span.AddAttr("right_rows", b.NumRows());
   const std::vector<int> cols_a = AllColumns(a);
   const std::vector<int> cols_b = AllColumns(b);
-  RowComparator cmp_a(&a, &a, cols_a, cols_a);
-  RowComparator cmp_b(&b, &b, cols_b, cols_b);
   RowComparator cross(&a, &b, cols_a, cols_b);
 
-  const std::vector<int64_t> da = SortedDistinctFirsts(a, cmp_a);
-  const std::vector<int64_t> db = SortedDistinctFirsts(b, cmp_b);
+  const std::vector<int64_t> da = SortedDistinctFirsts(a);
+  const std::vector<int64_t> db = SortedDistinctFirsts(b);
 
   // Merge-walk the two sorted distinct row lists.
   std::vector<int64_t> keep;
@@ -126,12 +110,10 @@ Result<TablePtr> Table::MinusTables(const Table& a, const Table& b) {
   span.AddAttr("right_rows", b.NumRows());
   const std::vector<int> cols_a = AllColumns(a);
   const std::vector<int> cols_b = AllColumns(b);
-  RowComparator cmp_a(&a, &a, cols_a, cols_a);
-  RowComparator cmp_b(&b, &b, cols_b, cols_b);
   RowComparator cross(&a, &b, cols_a, cols_b);
 
-  const std::vector<int64_t> da = SortedDistinctFirsts(a, cmp_a);
-  const std::vector<int64_t> db = SortedDistinctFirsts(b, cmp_b);
+  const std::vector<int64_t> da = SortedDistinctFirsts(a);
+  const std::vector<int64_t> db = SortedDistinctFirsts(b);
 
   std::vector<int64_t> keep;
   size_t i = 0, j = 0;

@@ -437,22 +437,9 @@ Result<TablePtr> Table::OrderBy(const std::vector<std::string>& cols,
   trace::Span span("Table/OrderBy");
   span.AddAttr("rows", num_rows_);
   span.AddAttr("key_columns", static_cast<int64_t>(idx.size()));
+  // The stable-sort permutation (see table/key_normalize.h).
   std::vector<int64_t> perm;
-  // Fast path: radix-sort normalized (key, row) pairs; falls through to
-  // the comparison sort for 3+ key columns. Both yield the stable-sort
-  // permutation (see table/key_normalize.h).
-  if (internal::SortedPermByKeys(*this, idx, ascending, &perm)) {
-    return GatherRows(perm);
-  }
-  RowComparator cmp(this, this, idx, idx, ascending);
-  perm.resize(num_rows_);
-  std::iota(perm.begin(), perm.end(), 0);
-  // Physical-position tiebreak makes the order total, so the parallel
-  // (unstable) sort yields exactly the stable-sort permutation.
-  ParallelSort(perm.begin(), perm.end(), [&](int64_t a, int64_t b) {
-    const int c = cmp.Compare(a, b);
-    return c != 0 ? c < 0 : a < b;
-  });
+  internal::SortedPermByKeys(*this, idx, ascending, &perm);
   return GatherRows(perm);
 }
 
@@ -465,19 +452,7 @@ Result<TablePtr> Table::Unique(const std::vector<std::string>& cols) const {
   span.AddAttr("rows", num_rows_);
   std::vector<int64_t> perm;
   std::vector<uint8_t> new_run;
-  if (!internal::SortedPermByKeys(*this, idx, {}, &perm, &new_run)) {
-    RowComparator cmp(this, this, idx, idx);
-    perm.resize(num_rows_);
-    std::iota(perm.begin(), perm.end(), 0);
-    ParallelSort(perm.begin(), perm.end(), [&](int64_t a, int64_t b) {
-      const int c = cmp.Compare(a, b);
-      return c != 0 ? c < 0 : a < b;
-    });
-    new_run.assign(num_rows_, 0);
-    for (int64_t i = 0; i < num_rows_; ++i) {
-      new_run[i] = (i == 0 || !cmp.Equal(perm[i - 1], perm[i])) ? 1 : 0;
-    }
-  }
+  internal::SortedPermByKeys(*this, idx, {}, &perm, &new_run);
   // First physical row of each run of equal keys (which is also its
   // smallest position, thanks to the position tiebreak).
   std::vector<int64_t> keep;

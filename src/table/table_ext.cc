@@ -6,7 +6,6 @@
 #include <numeric>
 
 #include "table/key_normalize.h"
-#include "table/row_compare.h"
 #include "table/table.h"
 #include "util/parallel.h"
 #include "util/rng.h"
@@ -32,22 +31,11 @@ Result<TablePtr> Table::TopK(std::string_view col, int64_t k,
   trace::Span span("Table/TopK");
   span.AddAttr("rows", num_rows_);
   span.AddAttr("k", take);
-  // Radix path: full distribution sort of (key, row) pairs, then keep the
-  // first `take` — a handful of linear passes beats the O(n log k) heap
-  // partial sort well before n reaches table sizes that matter.
+  // Full radix distribution sort of (key, row) pairs, then keep the first
+  // `take` — a handful of linear passes beats an O(n log k) heap partial
+  // sort well before n reaches table sizes that matter.
   std::vector<int64_t> perm;
-  if (internal::SortedPermByKeys(*this, cols, {ascending}, &perm)) {
-    perm.resize(take);
-    return GatherRows(perm);
-  }
-  RowComparator cmp(this, this, cols, cols, {ascending});
-  perm.resize(num_rows_);
-  std::iota(perm.begin(), perm.end(), 0);
-  auto less = [&](int64_t a, int64_t b) {
-    const int c = cmp.Compare(a, b);
-    return c != 0 ? c < 0 : a < b;
-  };
-  std::partial_sort(perm.begin(), perm.begin() + take, perm.end(), less);
+  internal::SortedPermByKeys(*this, cols, {ascending}, &perm);
   perm.resize(take);
   return GatherRows(perm);
 }

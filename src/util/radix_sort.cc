@@ -1,7 +1,5 @@
 #include "util/radix_sort.h"
 
-#include <atomic>
-
 #include "util/metrics.h"
 #include "util/trace.h"
 
@@ -10,8 +8,6 @@ namespace ringo {
 namespace radix {
 
 namespace {
-std::atomic<bool> g_enabled{true};
-
 // Shared per-entry-point epilogue: one span per sort with the record count
 // and the number of scatter passes that actually ran (pass skipping makes
 // this data-dependent, which is exactly why it is worth recording).
@@ -23,9 +19,6 @@ void RecordSort(trace::Span& span, int64_t n, int passes) {
   RINGO_COUNTER_ADD("radix/records", n);
 }
 }  // namespace
-
-bool Enabled() { return g_enabled.load(std::memory_order_relaxed); }
-void SetEnabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
 
 }  // namespace radix
 

@@ -42,12 +42,6 @@ namespace ringo {
 
 namespace radix {
 
-// Global kill switch (testing and ablation): when disabled, every caller
-// falls back to the comparison ParallelSort path. The two paths are
-// bit-identical by construction; the toggle exists to prove it.
-bool Enabled();
-void SetEnabled(bool on);
-
 // Order-preserving normalization of a signed int64 to unsigned key space:
 // flipping the sign bit maps INT64_MIN..INT64_MAX onto 0..UINT64_MAX.
 inline uint64_t Int64Key(int64_t v) {

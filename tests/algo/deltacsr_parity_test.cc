@@ -1,13 +1,15 @@
-// Delta-vs-rebuild parity suite (DESIGN.md §11). Two identical graphs run
-// the same scripted batch/read sequence; one arm refreshes its AlgoView
-// through the delta-patch path (deltacsr enabled), the other through the
-// legacy full rebuild (deltacsr::ScopedEnable(false) — the §11 parity
-// oracle). After every read the two snapshots must be structurally
-// identical span-by-span, and algorithm outputs must agree bit-exactly for
-// discrete results and to ≤1e-12 for floats. The matrix covers graph
-// families × directed/undirected, deletion and tombstone-heavy scripts,
-// forced compaction, canceling batches, and journal-invalidating
-// mutations.
+// Delta-vs-rebuild parity suite (DESIGN.md §11). A graph runs a scripted
+// batch/read sequence and refreshes its cached AlgoView through the delta
+// path (patch, or compact past kDeltaCompactionFraction). After every read
+// the cached snapshot must be structurally identical, span by span, to an
+// uncached AlgoView::Build of the same graph — the oracle — and algorithm
+// outputs must agree with those computed on a cold copy of the graph
+// (whose first read is a full build): bit-exactly for discrete results and
+// to ≤1e-12 for floats. The matrix covers graph families ×
+// directed/undirected, deletion and tombstone-heavy scripts, compaction,
+// canceling batches, journal-invalidating mutations, and patch overlays
+// far past the compaction threshold (AlgoView::ApplyDelta called
+// directly with compaction disabled).
 //
 // The suite also pins the AlgoView cache-counter contract — the exact
 // build/hit/invalidate/delta_apply/compact counts for a scripted
@@ -25,7 +27,6 @@
 #include "algo/algo_view.h"
 #include "algo/bfs.h"
 #include "algo/connectivity.h"
-#include "algo/deltacsr_switch.h"
 #include "algo/kcore.h"
 #include "algo/pagerank.h"
 #include "algo/triangles.h"
@@ -86,6 +87,26 @@ Batch HalfDeletionBatch(const Graph& g) {
   return b;
 }
 
+// One effective insert per node (to its first non-neighbour above it, or
+// below when none is): every adjacency run is patched, so the patched-arc
+// fraction exceeds kDeltaCompactionFraction and the next read compacts.
+template <typename Graph>
+Batch WideBatch(const Graph& g) {
+  Batch b;
+  const std::vector<NodeId> ids = g.SortedNodeIds();
+  const size_t n = ids.size();
+  for (size_t i = 0; i < n; ++i) {
+    for (size_t k = 1; k < n; ++k) {
+      const NodeId v = ids[(i + k) % n];
+      if (!g.HasEdge(ids[i], v)) {
+        b.inserts.push_back({ids[i], v});
+        break;
+      }
+    }
+  }
+  return b;
+}
+
 // --------------------------------------------------------- parity checks
 
 void ExpectViewParity(const AlgoView& a, const AlgoView& b,
@@ -126,148 +147,121 @@ void ExpectFloatEqual(const NodeValues& a, const NodeValues& b) {
   }
 }
 
-// Reads both arms (delta arm with patching on, oracle arm with patching
-// off), compares the snapshots structurally, then compares algorithm
-// results computed over those snapshots.
-void ReadAndCompare(const DirectedGraph& gd, const DirectedGraph& gr,
-                    const std::string& what) {
-  std::shared_ptr<const AlgoView> va, vb;
-  NodeValues pr_a, pr_b;
-  ComponentLabels wcc_a, wcc_b, scc_a, scc_b;
-  NodeInts bfs_a, bfs_b;
+// Reads `g` through the cache (delta path) and compares the snapshot with
+// an uncached AlgoView::Build, then compares algorithm results on `g` with
+// those on a cold copy — a copy starts with an empty snapshot cache, so its
+// algorithms run over a full build.
+void ReadAndCompare(const DirectedGraph& g, const std::string& what) {
+  const std::shared_ptr<const AlgoView> va = AlgoView::Of(g);
+  ExpectViewParity(*va, *AlgoView::Build(g), what);
+  const DirectedGraph cold(g);
   PageRankConfig cfg;
   cfg.max_iters = 30;
   cfg.tol = 0;  // Fixed iteration count: no convergence-path variance.
-  const NodeId src =
-      gd.NumNodes() > 0 ? gd.SortedNodeIds().front() : NodeId{0};
-  {
-    deltacsr::ScopedEnable on(true);
-    va = AlgoView::Of(gd);
-    pr_a = ParallelPageRank(gd, cfg).ValueOrDie();
-    wcc_a = WeaklyConnectedComponents(gd);
-    scc_a = StronglyConnectedComponents(gd);
-    if (gd.NumNodes() > 0) bfs_a = BfsDistances(gd, src);
-  }
-  {
-    deltacsr::ScopedEnable off(false);
-    vb = AlgoView::Of(gr);
-    pr_b = ParallelPageRank(gr, cfg).ValueOrDie();
-    wcc_b = WeaklyConnectedComponents(gr);
-    scc_b = StronglyConnectedComponents(gr);
-    if (gr.NumNodes() > 0) bfs_b = BfsDistances(gr, src);
-  }
-  ExpectViewParity(*va, *vb, what);
   SCOPED_TRACE(what);
-  ExpectFloatEqual(pr_a, pr_b);
-  ExpectExactEqual(wcc_a, wcc_b);
-  ExpectExactEqual(scc_a, scc_b);
-  ExpectExactEqual(bfs_a, bfs_b);
+  ExpectFloatEqual(ParallelPageRank(g, cfg).ValueOrDie(),
+                   ParallelPageRank(cold, cfg).ValueOrDie());
+  ExpectExactEqual(WeaklyConnectedComponents(g),
+                   WeaklyConnectedComponents(cold));
+  ExpectExactEqual(StronglyConnectedComponents(g),
+                   StronglyConnectedComponents(cold));
+  if (g.NumNodes() > 0) {
+    const NodeId src = g.SortedNodeIds().front();
+    ExpectExactEqual(BfsDistances(g, src), BfsDistances(cold, src));
+  }
 }
 
-void ReadAndCompare(const UndirectedGraph& gd, const UndirectedGraph& gr,
-                    const std::string& what) {
-  std::shared_ptr<const AlgoView> va, vb;
-  int64_t tri_a = 0, tri_b = 0;
-  ComponentLabels cc_a, cc_b;
-  NodeInts core_a, core_b, bfs_a, bfs_b;
-  const NodeId src =
-      gd.NumNodes() > 0 ? gd.SortedNodeIds().front() : NodeId{0};
-  {
-    deltacsr::ScopedEnable on(true);
-    va = AlgoView::Of(gd);
-    tri_a = ParallelTriangleCount(gd);
-    cc_a = ConnectedComponents(gd);
-    core_a = CoreNumbers(gd);
-    if (gd.NumNodes() > 0) bfs_a = BfsDistances(gd, src);
-  }
-  {
-    deltacsr::ScopedEnable off(false);
-    vb = AlgoView::Of(gr);
-    tri_b = ParallelTriangleCount(gr);
-    cc_b = ConnectedComponents(gr);
-    core_b = CoreNumbers(gr);
-    if (gr.NumNodes() > 0) bfs_b = BfsDistances(gr, src);
-  }
-  ExpectViewParity(*va, *vb, what);
+void ReadAndCompare(const UndirectedGraph& g, const std::string& what) {
+  const std::shared_ptr<const AlgoView> va = AlgoView::Of(g);
+  ExpectViewParity(*va, *AlgoView::Build(g), what);
+  const UndirectedGraph cold(g);
   SCOPED_TRACE(what);
-  EXPECT_EQ(tri_a, tri_b);
-  ExpectExactEqual(cc_a, cc_b);
-  ExpectExactEqual(core_a, core_b);
-  ExpectExactEqual(bfs_a, bfs_b);
+  EXPECT_EQ(ParallelTriangleCount(g), ParallelTriangleCount(cold));
+  ExpectExactEqual(ConnectedComponents(g), ConnectedComponents(cold));
+  ExpectExactEqual(CoreNumbers(g), CoreNumbers(cold));
+  if (g.NumNodes() > 0) {
+    const NodeId src = g.SortedNodeIds().front();
+    ExpectExactEqual(BfsDistances(g, src), BfsDistances(cold, src));
+  }
 }
 
-// Runs the standard script against a pair of identically built graphs:
-// mixed batch, back-to-back batches between reads, tombstone-heavy
-// deletion wave, canceling batches, forced compaction, and a
-// journal-invalidating single-edge mutation at the end.
+// Runs the standard script: mixed batch, back-to-back batches between
+// reads, tombstone-heavy deletion wave, canceling batches, a compacting
+// wide batch followed by a one-edge patch, and a journal-invalidating
+// single-edge mutation at the end.
 template <typename Graph>
-void RunStandardScript(Graph gd, Graph gr, uint64_t seed,
-                       const std::string& family) {
-  ASSERT_EQ(testing::EdgeSet(gd), testing::EdgeSet(gr));
+void RunStandardScript(Graph g, uint64_t seed, const std::string& family) {
+  metrics::SetEnabled(true);
   Rng rng(seed);
-  auto apply = [&](const Batch& b) {
-    gd.ApplyEdgeBatch(b.inserts, b.deletes);
-    gr.ApplyEdgeBatch(b.inserts, b.deletes);
-  };
+  auto apply = [&](const Batch& b) { g.ApplyEdgeBatch(b.inserts, b.deletes); };
 
-  ReadAndCompare(gd, gr, family + "/initial");
+  ReadAndCompare(g, family + "/initial");
 
-  apply(MixedBatch(gd, rng, 25, 10));
-  ReadAndCompare(gd, gr, family + "/mixed");
+  apply(MixedBatch(g, rng, 25, 10));
+  ReadAndCompare(g, family + "/mixed");
 
   // Two batches between reads: multi-batch journal replay.
-  apply(MixedBatch(gd, rng, 15, 15));
-  apply(MixedBatch(gd, rng, 15, 15));
-  ReadAndCompare(gd, gr, family + "/two_batches");
+  apply(MixedBatch(g, rng, 15, 15));
+  apply(MixedBatch(g, rng, 15, 15));
+  ReadAndCompare(g, family + "/two_batches");
 
   // Tombstone-heavy: half the edges disappear in one batch.
-  apply(HalfDeletionBatch(gd));
-  ReadAndCompare(gd, gr, family + "/half_deleted");
+  apply(HalfDeletionBatch(g));
+  ReadAndCompare(g, family + "/half_deleted");
 
   // Canceling pair: the second batch deletes exactly what the first
   // inserted, so the net delta is empty but the stamp moved twice.
   {
-    Batch grow = MixedBatch(gd, rng, 20, 0);
+    Batch grow = MixedBatch(g, rng, 20, 0);
     apply(grow);
     std::vector<Edge> added;
     for (const Edge& e : grow.inserts) {
-      if (gd.HasEdge(e.first, e.second)) added.push_back(e);
+      if (g.HasEdge(e.first, e.second)) added.push_back(e);
     }
     apply(Batch{{}, added});
-    ReadAndCompare(gd, gr, family + "/canceled");
+    ReadAndCompare(g, family + "/canceled");
   }
 
-  // Forced compaction: with the threshold at 0 any patched arc triggers
-  // the fold-into-fresh-base path, which must also match the oracle.
+  // Compaction: a batch touching every node crosses the threshold, so the
+  // refresh folds into a fresh base, which must also match the oracle.
   {
-    deltacsr::ScopedCompactionFraction force(0.0);
-    apply(MixedBatch(gd, rng, 10, 5));
-    ReadAndCompare(gd, gr, family + "/compacted");
+    const int64_t compact0 = metrics::CounterValue("algo_view/compact");
+    apply(WideBatch(g));
+    ReadAndCompare(g, family + "/compacted");
+    EXPECT_EQ(metrics::CounterValue("algo_view/compact") - compact0, 1)
+        << family;
   }
 
-  // Non-batch mutation: journal invalidated, both arms rebuild.
-  const std::vector<NodeId> ids = gd.SortedNodeIds();
+  // One edge on the fresh base stays far below the threshold: a patch.
+  {
+    const int64_t apply0 = metrics::CounterValue("algo_view/delta_apply");
+    const int64_t compact0 = metrics::CounterValue("algo_view/compact");
+    apply(Batch{{WideBatch(g).inserts.front()}, {}});
+    ReadAndCompare(g, family + "/patched");
+    EXPECT_EQ(metrics::CounterValue("algo_view/delta_apply") - apply0, 1)
+        << family;
+    EXPECT_EQ(metrics::CounterValue("algo_view/compact"), compact0) << family;
+  }
+
+  // Non-batch mutation: journal invalidated, the refresh rebuilds.
+  const std::vector<NodeId> ids = g.SortedNodeIds();
   if (ids.size() >= 2) {
-    gd.DelEdge(ids[0], ids[1]);
-    gr.DelEdge(ids[0], ids[1]);
-    gd.AddEdge(ids[1], ids[0]);
-    gr.AddEdge(ids[1], ids[0]);
-    ReadAndCompare(gd, gr, family + "/single_edge_fallback");
+    g.DelEdge(ids[0], ids[1]);
+    g.AddEdge(ids[1], ids[0]);
+    ReadAndCompare(g, family + "/single_edge_fallback");
   }
 }
 
 // ------------------------------------------------------ directed families
 
 TEST(DeltaCsrParityTest, DirectedRandom) {
-  RunStandardScript(testing::RandomDirected(120, 500, 0xD1),
-                    testing::RandomDirected(120, 500, 0xD1), 0xA1,
+  RunStandardScript(testing::RandomDirected(120, 500, 0xD1), 0xA1,
                     "directed_random");
 }
 
 TEST(DeltaCsrParityTest, DirectedRmat) {
   const auto edges = gen::RMatEdges(7, 900, 0xBEEF).ValueOrDie();
-  RunStandardScript(gen::BuildDirected(edges), gen::BuildDirected(edges),
-                    0xA2, "directed_rmat");
+  RunStandardScript(gen::BuildDirected(edges), 0xA2, "directed_rmat");
 }
 
 TEST(DeltaCsrParityTest, DirectedStar) {
@@ -278,7 +272,7 @@ TEST(DeltaCsrParityTest, DirectedStar) {
     star.AddEdge(0, 1);
     return star;
   };
-  RunStandardScript(make(), make(), 0xA3, "directed_star");
+  RunStandardScript(make(), 0xA3, "directed_star");
 }
 
 TEST(DeltaCsrParityTest, DirectedChainWithSelfLoops) {
@@ -289,21 +283,19 @@ TEST(DeltaCsrParityTest, DirectedChainWithSelfLoops) {
     for (NodeId i = 0; i < 60; i += 9) chain.AddEdge(i, i);
     return chain;
   };
-  RunStandardScript(make(), make(), 0xA4, "directed_chain_loops");
+  RunStandardScript(make(), 0xA4, "directed_chain_loops");
 }
 
 // ---------------------------------------------------- undirected families
 
 TEST(DeltaCsrParityTest, UndirectedRandom) {
-  RunStandardScript(testing::RandomUndirected(120, 400, 0xE1),
-                    testing::RandomUndirected(120, 400, 0xE1), 0xB1,
+  RunStandardScript(testing::RandomUndirected(120, 400, 0xE1), 0xB1,
                     "undirected_random");
 }
 
 TEST(DeltaCsrParityTest, UndirectedRmat) {
   const auto edges = gen::RMatEdges(7, 800, 0xFACE).ValueOrDie();
-  RunStandardScript(gen::BuildUndirected(edges), gen::BuildUndirected(edges),
-                    0xB2, "undirected_rmat");
+  RunStandardScript(gen::BuildUndirected(edges), 0xB2, "undirected_rmat");
 }
 
 TEST(DeltaCsrParityTest, UndirectedStarWithSelfLoops) {
@@ -312,7 +304,7 @@ TEST(DeltaCsrParityTest, UndirectedStarWithSelfLoops) {
     for (NodeId i = 0; i < 48; i += 5) g.AddEdge(i, i);
     return g;
   };
-  RunStandardScript(make(), make(), 0xB3, "undirected_star_loops");
+  RunStandardScript(make(), 0xB3, "undirected_star_loops");
 }
 
 TEST(DeltaCsrParityTest, UndirectedDisconnected) {
@@ -322,27 +314,67 @@ TEST(DeltaCsrParityTest, UndirectedDisconnected) {
     for (NodeId i = 0; i + 1 < 30; ++i) g.AddEdge(500 + i, 500 + i + 1);
     return g;
   };
-  RunStandardScript(make(), make(), 0xB4, "undirected_disconnected");
+  RunStandardScript(make(), 0xB4, "undirected_disconnected");
 }
 
 // Deleting *every* edge via batches: the patched view must degrade to
 // all-empty spans and algorithms must behave as on an edgeless graph.
 TEST(DeltaCsrParityTest, DirectedDrainToEmpty) {
-  DirectedGraph gd = testing::RandomDirected(60, 240, 0xDEAD);
-  DirectedGraph gr = testing::RandomDirected(60, 240, 0xDEAD);
-  ReadAndCompare(gd, gr, "drain/initial");
+  DirectedGraph g = testing::RandomDirected(60, 240, 0xDEAD);
+  ReadAndCompare(g, "drain/initial");
   // Three waves of half-deletions, then one final sweep.
   for (int wave = 0; wave < 3; ++wave) {
-    const Batch b = HalfDeletionBatch(gd);
-    gd.ApplyEdgeBatch(b.inserts, b.deletes);
-    gr.ApplyEdgeBatch(b.inserts, b.deletes);
-    ReadAndCompare(gd, gr, "drain/wave");
+    const Batch b = HalfDeletionBatch(g);
+    g.ApplyEdgeBatch(b.inserts, b.deletes);
+    ReadAndCompare(g, "drain/wave");
   }
-  const std::vector<Edge> rest = CurrentEdges(gd);
-  gd.ApplyEdgeBatch({}, rest);
-  gr.ApplyEdgeBatch({}, rest);
-  ASSERT_EQ(gd.NumEdges(), 0);
-  ReadAndCompare(gd, gr, "drain/empty");
+  const std::vector<Edge> rest = CurrentEdges(g);
+  g.ApplyEdgeBatch({}, rest);
+  ASSERT_EQ(g.NumEdges(), 0);
+  ReadAndCompare(g, "drain/empty");
+}
+
+// Patch overlays far past the compaction threshold: ApplyDelta with
+// compaction disabled replays the whole journal onto the first snapshot,
+// batch after batch, and every patched view must equal a fresh build —
+// including node-creating batches, whose ids append above the watermark.
+template <typename Graph>
+void ExpectUncompactedPatchesMatchBuild(Graph g, uint64_t seed,
+                                        const std::string& family) {
+  Rng rng(seed);
+  const std::shared_ptr<const AlgoView> base = AlgoView::Build(g);
+  const uint64_t base_stamp = g.MutationStamp();
+  NodeId next_id = g.SortedNodeIds().back() + 1;
+  for (int round = 0; round < 6; ++round) {
+    Batch b = round % 2 == 0 ? MixedBatch(g, rng, 30, 20) : HalfDeletionBatch(g);
+    if (round == 3) b.inserts.push_back({g.SortedNodeIds().front(), next_id++});
+    g.ApplyEdgeBatch(b.inserts, b.deletes);
+    ASSERT_TRUE(g.delta_journal().Covers(base_stamp, g.MutationStamp()))
+        << family << " round " << round;
+    const std::shared_ptr<const AlgoView> patched = AlgoView::ApplyDelta(
+        base, g.delta_journal().OpsSince(base_stamp), /*compact_fraction=*/2.0,
+        g.delta_journal().NodesSince(base_stamp));
+    ASSERT_NE(patched, nullptr) << family << " round " << round;
+    EXPECT_GT(patched->DeltaFraction(), 0.0) << family << " round " << round;
+    ExpectViewParity(*patched, *AlgoView::Build(g),
+                     family + " round " + std::to_string(round));
+    // The same ops with the production threshold: compact iff the
+    // overlay crosses it.
+    const bool compacts =
+        AlgoView::ApplyDelta(base, g.delta_journal().OpsSince(base_stamp),
+                             kDeltaCompactionFraction,
+                             g.delta_journal().NodesSince(base_stamp)) ==
+        nullptr;
+    EXPECT_EQ(compacts, patched->DeltaFraction() > kDeltaCompactionFraction)
+        << family << " round " << round;
+  }
+}
+
+TEST(DeltaCsrParityTest, UncompactedPatchesMatchBuild) {
+  ExpectUncompactedPatchesMatchBuild(testing::RandomDirected(120, 500, 0xC1),
+                                     0xC2, "directed");
+  ExpectUncompactedPatchesMatchBuild(testing::RandomUndirected(120, 400, 0xC3),
+                                     0xC4, "undirected");
 }
 
 // ----------------------------------------------- cache-counter exactness
@@ -369,8 +401,6 @@ TEST(AlgoViewCacheCountersTest, ScriptedTraceExactAtEveryThreadCount) {
   for (const int threads : testing::StressThreadCounts()) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     testing::ScopedNumThreads tc(threads);
-    deltacsr::ScopedEnable on(true);
-    deltacsr::ScopedCompactionFraction no_compact(2.0);  // Never compact.
     DirectedGraph g = testing::RandomDirected(80, 320, 0x7AC3);
     const CounterBaseline c0 = CounterBaseline::Take();
     auto expect = [&](int64_t build, int64_t hit, int64_t invalidate,
@@ -418,22 +448,12 @@ TEST(AlgoViewCacheCountersTest, ScriptedTraceExactAtEveryThreadCount) {
     AlgoView::Of(g);  // Journal gap: full rebuild.
     expect(2, 2, 1, 2, 0, 2);
 
-    {
-      deltacsr::ScopedCompactionFraction always(0.0);
-      g.ApplyEdgeBatch({absent_edge()}, {});
-      AlgoView::Of(g);  // Patched fraction > 0: compaction (not a build).
-      expect(2, 2, 2, 2, 1, 2);
-    }
-
-    {
-      deltacsr::ScopedEnable off(false);
-      g.ApplyEdgeBatch({absent_edge()}, {});
-      AlgoView::Of(g);  // Kill switch: rebuild even though covered.
-      expect(3, 2, 3, 2, 1, 2);
-    }
+    g.ApplyEdgeBatch(WideBatch(g).inserts, {});  // Every run patched...
+    AlgoView::Of(g);  // ...past the threshold: compaction (not a build).
+    expect(2, 2, 2, 2, 1, 2);
 
     AlgoView::Of(g);  // Steady state again: hit.
-    expect(3, 3, 3, 2, 1, 2);
+    expect(2, 3, 2, 2, 1, 2);
   }
 }
 

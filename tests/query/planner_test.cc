@@ -1,7 +1,7 @@
 // Golden tests for the logical planner and the fusion pass: PlanToString
-// snapshots before and after FusePlan, semantic errors with their 1-based
-// source positions, and the kill switch. The string form is the contract
-// — a formatting change here is an intentional API change.
+// snapshots before and after FusePlan, and semantic errors with their
+// 1-based source positions. The string form is the contract — a
+// formatting change here is an intentional API change.
 #include "query/planner.h"
 
 #include <gtest/gtest.h>
@@ -16,20 +16,6 @@
 namespace ringo {
 namespace query {
 namespace {
-
-// RAII toggle for the fusion kill switch (mirrors ScopedRadix).
-class ScopedFusion {
- public:
-  explicit ScopedFusion(bool on) : prev_(FusionEnabled()) {
-    SetFusionEnabled(on);
-  }
-  ~ScopedFusion() { SetFusionEnabled(prev_); }
-  ScopedFusion(const ScopedFusion&) = delete;
-  ScopedFusion& operator=(const ScopedFusion&) = delete;
-
- private:
-  bool prev_;
-};
 
 Schema EdgeSchema() {
   return Schema{{"src", ColumnType::kInt},
@@ -120,7 +106,6 @@ TEST(PlannerTest, GoldenGraphToTablesAndDefaults) {
 
 TEST(PlannerFusionTest, SelectIntoGraphBecomesFilteredGraph) {
   metrics::SetEnabled(true);
-  ScopedFusion fusion(true);
   Plan plan = MustPlan(
       "f = select(t, \"tag = java\")\n"
       "g = graph(f, \"src\", \"dst\")\n"
@@ -145,7 +130,6 @@ TEST(PlannerFusionTest, SelectIntoGraphBecomesFilteredGraph) {
 }
 
 TEST(PlannerFusionTest, SharedSelectIsNotFused) {
-  ScopedFusion fusion(true);
   // The select feeds both the graph build and the root top_k: fusing it
   // away would force the predicate to run twice, so the rule must not fire.
   Plan plan = MustPlan(
@@ -160,7 +144,6 @@ TEST(PlannerFusionTest, SharedSelectIsNotFused) {
 
 TEST(PlannerFusionTest, ProjectPushesBelowOrderBy) {
   metrics::SetEnabled(true);
-  ScopedFusion fusion(true);
   Plan plan = MustPlan("project(order_by(t, \"-w\", \"src\"), \"w\", \"src\")",
                        Bind());
   EXPECT_EQ(PlanToString(plan),
@@ -180,7 +163,6 @@ TEST(PlannerFusionTest, ProjectPushesBelowOrderBy) {
 }
 
 TEST(PlannerFusionTest, ProjectDroppingASortColumnStaysPut) {
-  ScopedFusion fusion(true);
   // The sort reads `w` but the projection drops it: sorting the narrowed
   // table would be ill-formed, so no rewrite.
   Plan plan = MustPlan("project(order_by(t, \"-w\"), \"src\")", Bind());
@@ -191,7 +173,6 @@ TEST(PlannerFusionTest, ProjectDroppingASortColumnStaysPut) {
 
 TEST(PlannerFusionTest, GroupByAggsPrunedByProject) {
   metrics::SetEnabled(true);
-  ScopedFusion fusion(true);
   Plan plan = MustPlan(
       "g = group_by(t, \"tag\", count(\"n\"), sum(\"w\", \"total\"))\n"
       "project(g, \"tag\", \"n\")\n",
@@ -207,16 +188,24 @@ TEST(PlannerFusionTest, GroupByAggsPrunedByProject) {
   EXPECT_EQ(metrics::CounterValue("query/fused_groupby_prune") - rule0, 1);
 }
 
-TEST(PlannerFusionTest, KillSwitchDisablesEveryRule) {
-  ScopedFusion fusion(false);
+// The unfused reference the parity suites run is the planner's own output:
+// PlanScript never applies a rewrite, only FusePlan does.
+TEST(PlannerFusionTest, PlanScriptAppliesNoRewrite) {
+  metrics::SetEnabled(true);
+  const int64_t ops0 = metrics::CounterValue("query/fused_ops");
   Plan plan = MustPlan(
       "f = select(t, \"tag = java\")\n"
       "g = graph(f, \"src\", \"dst\")\n"
       "pagerank(g, 20)\n",
       Bind());
-  const std::string before = PlanToString(plan);
-  EXPECT_EQ(FusePlan(&plan), 0);
-  EXPECT_EQ(PlanToString(plan), before);
+  EXPECT_EQ(PlanToString(plan),
+            "#0 = bind(t) [src:int, dst:int, w:float, tag:string]\n"
+            "#1 = select(#0, tag = \"java\") "
+            "[src:int, dst:int, w:float, tag:string]\n"
+            "#2 = graph(#1, src, dst) [graph]\n"
+            "#3 = pagerank(#2, 20) [NodeId:int, Score:float]\n"
+            "root = #3\n");
+  EXPECT_EQ(metrics::CounterValue("query/fused_ops"), ops0);
 }
 
 // -------------------------------------------------------------- errors
@@ -278,7 +267,6 @@ TEST(PlannerCompoundTest, GoldenCompoundSelect) {
 }
 
 TEST(PlannerCompoundTest, CompoundSelectIntoGraphFuses) {
-  ScopedFusion fusion(true);
   Plan plan = MustPlan(
       "f = select(t, \"tag = java or tag = go\")\n"
       "g = graph(f, \"src\", \"dst\")\n"

@@ -1,13 +1,14 @@
-// End-to-end tests for RunScript / Ringo::RunQuery: fused and unfused
-// executions are bit-identical (including empty inputs), a script matches
-// the hand-composed C++ pipeline cell for cell, join probes share one
-// build side, and deadlines land between plan nodes.
+// End-to-end tests for RunScript / Ringo::RunQuery: fused executions are
+// bit-identical to the unfused staged pipeline (including empty inputs), a
+// script matches the hand-composed C++ pipeline cell for cell, join probes
+// share one build side, and deadlines land between plan nodes.
 #include "query/query.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -23,18 +24,31 @@ namespace ringo {
 namespace query {
 namespace {
 
-class ScopedFusion {
- public:
-  explicit ScopedFusion(bool on) : prev_(FusionEnabled()) {
-    SetFusionEnabled(on);
+// The unfused reference: the staged pipeline Parse → PlanScript →
+// ExecutePlan without the FusePlan call that RunScript makes. Summarized
+// the way RunScript summarizes its root value.
+RunResult RunUnfused(const std::string& script, const RunOptions& opts) {
+  Result<Script> ast = Parse(script);
+  RINGO_CHECK_OK(ast.status());
+  std::map<std::string, Schema> schemas;
+  for (const auto& [name, t] : opts.bindings) schemas[name] = t->schema();
+  Result<Plan> plan = PlanScript(*ast, schemas);
+  RINGO_CHECK_OK(plan.status());
+  Result<QueryValue> value =
+      ExecutePlan(*plan, ExecOptions{opts.pool, opts.bindings});
+  RINGO_CHECK_OK(value.status());
+  RunResult out;
+  if (value->table != nullptr) {
+    out.table = value->table;
+    out.rows = out.table->NumRows();
+    out.checksum = TableChecksum(*out.table);
+  } else {
+    out.graph = value->graph;
+    out.rows = out.graph->NumNodes();
+    out.checksum = static_cast<double>(out.graph->NumEdges());
   }
-  ~ScopedFusion() { SetFusionEnabled(prev_); }
-  ScopedFusion(const ScopedFusion&) = delete;
-  ScopedFusion& operator=(const ScopedFusion&) = delete;
-
- private:
-  bool prev_;
-};
+  return out;
+}
 
 // Bit-identical table equality: schema, row ids, and every cell, with
 // doubles compared by bits.
@@ -86,24 +100,16 @@ TablePtr MakeEdgeTable(int64_t rows, std::shared_ptr<StringPool> pool) {
   return t;
 }
 
-// Runs one script twice — fusion on, fusion off — and asserts the results
-// are bit-identical tables with matching row/checksum summaries. Returns
-// the fused result for further checks.
+// Runs one script twice — fused through RunScript, unfused through the
+// staged pipeline — and asserts the results are bit-identical tables with
+// matching row/checksum summaries. Returns the fused result for further
+// checks.
 RunResult RunBothWays(const std::string& script, const RunOptions& opts,
                       const std::string& ctx) {
-  RunResult fused, unfused;
-  {
-    ScopedFusion on(true);
-    Result<RunResult> r = RunScript(script, opts);
-    RINGO_CHECK_OK(r.status());
-    fused = std::move(*r);
-  }
-  {
-    ScopedFusion off(false);
-    Result<RunResult> r = RunScript(script, opts);
-    RINGO_CHECK_OK(r.status());
-    unfused = std::move(*r);
-  }
+  Result<RunResult> r = RunScript(script, opts);
+  RINGO_CHECK_OK(r.status());
+  const RunResult fused = std::move(*r);
+  const RunResult unfused = RunUnfused(script, opts);
   EXPECT_EQ(fused.rows, unfused.rows) << ctx;
   EXPECT_EQ(fused.checksum, unfused.checksum) << ctx;
   if (fused.table != nullptr || unfused.table != nullptr) {
@@ -125,20 +131,12 @@ TEST(QueryE2ETest, FusedSelectGraphIsBitIdenticalAndSkipsTheSelect) {
   opts.bindings["t"] = MakeEdgeTable(4000, nullptr);
 
   const int64_t nodes0 = metrics::CounterValue("query/exec_nodes");
-  int64_t fused_nodes, unfused_nodes;
-  {
-    ScopedFusion on(true);
-    Result<RunResult> r = RunScript(kPipelineScript, opts);
-    RINGO_CHECK_OK(r.status());
-    fused_nodes = metrics::CounterValue("query/exec_nodes") - nodes0;
-  }
-  {
-    ScopedFusion off(false);
-    Result<RunResult> r = RunScript(kPipelineScript, opts);
-    RINGO_CHECK_OK(r.status());
-    unfused_nodes =
-        metrics::CounterValue("query/exec_nodes") - nodes0 - fused_nodes;
-  }
+  RINGO_CHECK_OK(RunScript(kPipelineScript, opts).status());
+  const int64_t fused_nodes =
+      metrics::CounterValue("query/exec_nodes") - nodes0;
+  RunUnfused(kPipelineScript, opts);
+  const int64_t unfused_nodes =
+      metrics::CounterValue("query/exec_nodes") - nodes0 - fused_nodes;
   // Fused: bind, filtered_graph, pagerank, top_k — the orphaned select
   // never executes, which is the "no intermediate table" guarantee.
   EXPECT_EQ(fused_nodes, 4);
@@ -159,6 +157,15 @@ TEST(QueryE2ETest, CompoundSelectFusedAndUnfusedAgree) {
       "pr = pagerank(g, 8)\n"
       "top_k(pr, \"Score\", 10)\n",
       opts, "compound select+graph pipeline");
+  // Every DNF group contributes edges no other group keeps, so a fused
+  // predicate that lost a group would change the edge table.
+  const RunResult edges = RunBothWays(
+      "g = graph(select(t, \"src = 3 and tag = java or src = 5\"), "
+      "\"src\", \"dst\")\n"
+      "edges(g)\n",
+      opts, "compound select+graph edges");
+  ASSERT_NE(edges.table, nullptr);
+  EXPECT_GT(edges.rows, 0);
   const RunResult r = RunBothWays(
       "select(t, \"tag = cpp and w < 0.3 or tag = java and w > 0.8\")", opts,
       "compound select root");

@@ -15,11 +15,11 @@
 #include "algo/algo_view.h"
 #include "algo/bfs.h"
 #include "algo/connectivity.h"
-#include "algo/deltacsr_switch.h"
 #include "algo/pagerank.h"
 #include "algo/triangles.h"
 #include "stress/stress_support.h"
 #include "test_support.h"
+#include "util/metrics.h"
 #include "util/rng.h"
 
 namespace ringo {
@@ -89,11 +89,12 @@ TEST(DeltaCsrStressTest, UndirectedApplyEdgeBatchThreadInvariance) {
 // Results of algorithms reading through a delta-patched snapshot (batches
 // applied after the base view was built, journal replayed on read) must be
 // bit-identical across thread counts — including the patch construction
-// itself, whose arena layout is fixed by deterministic prefix sums.
+// itself, whose arena layout is fixed by deterministic prefix sums. The
+// batch streams are sized so the patched-arc fraction stays below
+// kDeltaCompactionFraction: the read patches and never compacts.
 TEST(DeltaCsrStressTest, DeltaMergedDirectedReadsThreadInvariance) {
-  const auto batches = MakeBatches(0xD00D, 4, 80, 139);
-  deltacsr::ScopedEnable on(true);
-  deltacsr::ScopedCompactionFraction no_compact(2.0);  // Stay on patches.
+  metrics::SetEnabled(true);
+  const auto batches = MakeBatches(0xD00D, 4, 8, 399);
   PageRankConfig cfg;
   cfg.max_iters = 25;
   cfg.tol = 0;
@@ -105,13 +106,16 @@ TEST(DeltaCsrStressTest, DeltaMergedDirectedReadsThreadInvariance) {
   for (const int threads : testing::StressThreadCounts()) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     testing::ScopedNumThreads tc(threads);
-    DirectedGraph g = testing::RandomDirected(140, 560, 0xBEEF);
+    DirectedGraph g = testing::RandomDirected(400, 2400, 0xBEEF);
     AlgoView::Of(g);  // Pin a base snapshot so batches take the delta path.
     for (const auto& [ins, del] : batches) {
       g.ApplyEdgeBatch(ins, del);
     }
+    const int64_t compact0 = metrics::CounterValue("algo_view/compact");
     const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-    ASSERT_GT(view->PatchedNodes(), 0);  // The delta path actually ran.
+    ASSERT_GT(view->PatchedNodes(), 0);  // The delta path actually ran...
+    ASSERT_EQ(metrics::CounterValue("algo_view/compact"), compact0);  // ...
+                                                       // without compacting.
     const NodeValues pr = ParallelPageRank(g, cfg).ValueOrDie();
     const ComponentLabels scc = StronglyConnectedComponents(g);
     const NodeInts bfs = BfsDistances(g, g.SortedNodeIds().front());
@@ -135,22 +139,23 @@ TEST(DeltaCsrStressTest, DeltaMergedDirectedReadsThreadInvariance) {
 }
 
 TEST(DeltaCsrStressTest, DeltaMergedUndirectedReadsThreadInvariance) {
-  const auto batches = MakeBatches(0xCAB, 4, 70, 99);
-  deltacsr::ScopedEnable on(true);
-  deltacsr::ScopedCompactionFraction no_compact(2.0);
+  metrics::SetEnabled(true);
+  const auto batches = MakeBatches(0xCAB, 4, 4, 399);
 
   int64_t tri_base = -1;
   ComponentLabels cc_base;
   for (const int threads : testing::StressThreadCounts()) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     testing::ScopedNumThreads tc(threads);
-    UndirectedGraph g = testing::RandomUndirected(100, 350, 0xACED);
+    UndirectedGraph g = testing::RandomUndirected(400, 1200, 0xACED);
     AlgoView::Of(g);
     for (const auto& [ins, del] : batches) {
       g.ApplyEdgeBatch(ins, del);
     }
+    const int64_t compact0 = metrics::CounterValue("algo_view/compact");
     const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
     ASSERT_GT(view->PatchedNodes(), 0);
+    ASSERT_EQ(metrics::CounterValue("algo_view/compact"), compact0);
     const int64_t tri = ParallelTriangleCount(g);
     const ComponentLabels cc = ConnectedComponents(g);
     if (threads == testing::StressThreadCounts().front()) {
@@ -166,25 +171,34 @@ TEST(DeltaCsrStressTest, DeltaMergedUndirectedReadsThreadInvariance) {
 // The compaction decision itself must be thread-count-invariant: the
 // patched fraction is a deterministic function of the batch stream, so
 // whether a read compacts or patches cannot depend on the thread count.
+// The stream is sized so the overlay grows across a few patched reads
+// before crossing kDeltaCompactionFraction, so both outcomes occur.
 TEST(DeltaCsrStressTest, CompactionDecisionThreadInvariance) {
-  const auto batches = MakeBatches(0xC0, 8, 60, 89);
-  deltacsr::ScopedEnable on(true);
-  deltacsr::ScopedCompactionFraction threshold(0.3);
+  metrics::SetEnabled(true);
+  const auto batches = MakeBatches(0xC0, 8, 6, 299);
   std::vector<double> fractions_base;
+  int64_t compactions_base = -1;
   for (const int threads : testing::StressThreadCounts()) {
     SCOPED_TRACE("threads=" + std::to_string(threads));
     testing::ScopedNumThreads tc(threads);
-    DirectedGraph g = testing::RandomDirected(90, 360, 0x9);
+    DirectedGraph g = testing::RandomDirected(300, 1500, 0x9);
     AlgoView::Of(g);
+    const int64_t compact0 = metrics::CounterValue("algo_view/compact");
     std::vector<double> fractions;
     for (const auto& [ins, del] : batches) {
       g.ApplyEdgeBatch(ins, del);
       fractions.push_back(AlgoView::Of(g)->DeltaFraction());
     }
+    const int64_t compactions =
+        metrics::CounterValue("algo_view/compact") - compact0;
     if (threads == testing::StressThreadCounts().front()) {
+      EXPECT_GT(compactions, 0);
+      EXPECT_LT(compactions, static_cast<int64_t>(batches.size()));
       fractions_base = fractions;
+      compactions_base = compactions;
     } else {
       EXPECT_EQ(fractions, fractions_base);
+      EXPECT_EQ(compactions, compactions_base);
     }
   }
 }

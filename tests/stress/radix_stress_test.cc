@@ -1,41 +1,35 @@
-// Stress: the radix sort path against the comparison sort path. Every
-// sort-driven operator (OrderBy, Unique, GroupByAggregate, NextK, TopK,
-// set ops) and the sort-first conversions must produce *bit-identical*
-// results whether the radix kernel is enabled or not, at every stress
-// thread count — the radix path is stable over ascending-row input, which
-// is exactly the comparison path's position tiebreak. This file is part
-// of the `stress` label, so it also runs under TSan.
+// Stress: the production sort paths against the tests/-side comparison
+// reference (std::stable_sort over RowComparator, tests/test_support.h).
+// Every sort-driven operator (OrderBy, Unique, GroupBy, NextK, TopK, set
+// ops) must produce exactly the rows that reference names — bit-identical
+// cells and row ids — at every stress thread count, and the sort-first
+// conversions must match the sort-free TableToGraphNaive and a row-order
+// weight accumulation. The radix kernel is stable over ascending-row
+// input, which is exactly the reference's position tiebreak. This file is
+// part of the `stress` and `parity` labels, so it also runs under TSan.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/conversion.h"
 #include "stress/stress_support.h"
 #include "table/table.h"
+#include "test_support.h"
 #include "util/radix_sort.h"
 #include "util/rng.h"
 
 namespace ringo {
 namespace {
 
+using testing::ExpectGroupByOf;
+using testing::ExpectPairedRowsOf;
+using testing::ExpectRowsOf;
 using testing::ScopedNumThreads;
 using testing::StressThreadCounts;
-
-// RAII toggle for the radix kill switch.
-class ScopedRadix {
- public:
-  explicit ScopedRadix(bool on) : prev_(radix::Enabled()) {
-    radix::SetEnabled(on);
-  }
-  ~ScopedRadix() { radix::SetEnabled(prev_); }
-  ScopedRadix(const ScopedRadix&) = delete;
-  ScopedRadix& operator=(const ScopedRadix&) = delete;
-
- private:
-  bool prev_;
-};
 
 // Large enough that the kernel takes its multi-part path (> 1 << 14).
 constexpr int64_t kRows = 40000;
@@ -77,7 +71,9 @@ TablePtr MakeEdgeTable(int64_t n, uint64_t seed, bool with_weight) {
     const int64_t src = static_cast<int64_t>(mix() % 300);
     const int64_t dst = static_cast<int64_t>(mix() % 300);
     if (with_weight) {
-      const double w = static_cast<double>(mix() % 16) / 8.0;
+      // Sevenths are inexact in binary, so duplicate-edge sums depend on
+      // the accumulation order and the bit-identity check can see it.
+      const double w = static_cast<double>(mix() % 1000) / 7.0;
       RINGO_CHECK_OK(t->AppendRow({src, dst, w}));
     } else {
       RINGO_CHECK_OK(t->AppendRow({src, dst}));
@@ -86,136 +82,107 @@ TablePtr MakeEdgeTable(int64_t n, uint64_t seed, bool with_weight) {
   return t;
 }
 
-// Bit-identical table equality: schema, row ids, and every cell (doubles
-// compared by bits so ±0.0 or NaN drift would be caught).
-void ExpectSameTable(const Table& a, const Table& b, const std::string& ctx) {
-  ASSERT_EQ(a.num_columns(), b.num_columns()) << ctx;
-  ASSERT_EQ(a.NumRows(), b.NumRows()) << ctx;
-  for (int64_t r = 0; r < a.NumRows(); ++r) {
-    ASSERT_EQ(a.RowId(r), b.RowId(r)) << ctx << " row " << r;
-  }
-  for (int c = 0; c < a.num_columns(); ++c) {
-    const Column& ca = a.column(c);
-    const Column& cb = b.column(c);
-    ASSERT_EQ(ca.type(), cb.type()) << ctx << " col " << c;
-    for (int64_t r = 0; r < a.NumRows(); ++r) {
-      switch (ca.type()) {
-        case ColumnType::kInt:
-          ASSERT_EQ(ca.GetInt(r), cb.GetInt(r)) << ctx << " col " << c
-                                                << " row " << r;
-          break;
-        case ColumnType::kFloat: {
-          uint64_t ba, bb;
-          const double da = ca.GetFloat(r), db = cb.GetFloat(r);
-          std::memcpy(&ba, &da, sizeof(ba));
-          std::memcpy(&bb, &db, sizeof(bb));
-          ASSERT_EQ(ba, bb) << ctx << " col " << c << " row " << r;
-          break;
-        }
-        case ColumnType::kString:
-          // Outputs of the same input table share its pool, so ids match.
-          ASSERT_EQ(ca.GetStr(r), cb.GetStr(r)) << ctx << " col " << c
-                                                << " row " << r;
-          break;
-      }
-    }
+// Runs `op` at every stress thread count and checks each result with
+// `check`, which compares it against a tests/-side reference.
+template <typename Op, typename Check>
+void ForEachThreadCount(const std::string& ctx, Op op, Check check) {
+  for (int tc : StressThreadCounts()) {
+    ScopedNumThreads threads(tc);
+    auto r = op();
+    ASSERT_TRUE(r.ok()) << ctx << ": " << r.status().ToString();
+    check(**r, ctx + " tc=" + std::to_string(tc));
   }
 }
 
-// Runs `op` with the radix path disabled at one thread (the reference),
-// then asserts the radix-enabled result is bit-identical at every stress
-// thread count.
+// `op` must return exactly the rows `rows` of `t`.
 template <typename Op>
-void ExpectRadixParity(const std::string& ctx, Op op) {
-  TablePtr ref;
-  {
-    ScopedNumThreads threads(1);
-    ScopedRadix radix_off(false);
-    auto r = op();
-    ASSERT_TRUE(r.ok()) << ctx;
-    ref = *r;
-  }
-  for (int tc : StressThreadCounts()) {
-    ScopedNumThreads threads(tc);
-    {
-      ScopedRadix radix_on(true);
-      auto r = op();
-      ASSERT_TRUE(r.ok()) << ctx;
-      ExpectSameTable(**r, *ref, ctx + " radix tc=" + std::to_string(tc));
-    }
-    {
-      ScopedRadix radix_off(false);
-      auto r = op();
-      ASSERT_TRUE(r.ok()) << ctx;
-      ExpectSameTable(**r, *ref, ctx + " cmp tc=" + std::to_string(tc));
-    }
-  }
+void ExpectRows(const std::string& ctx, const Table& t,
+                const std::vector<int64_t>& rows, Op op) {
+  ForEachThreadCount(ctx, op, [&](const Table& out, const std::string& c) {
+    ExpectRowsOf(out, t, rows, c);
+  });
 }
 
 TEST(RadixParityStress, OrderBySingleColumns) {
   const TablePtr t = MakeMixedTable(kRows, 0xA11CE);
   for (const char* col : {"g", "v", "f", "s"}) {
-    ExpectRadixParity(std::string("OrderBy ") + col,
-                      [&] { return t->OrderBy({col}); });
-    ExpectRadixParity(std::string("OrderBy desc ") + col,
-                      [&] { return t->OrderBy({col}, {false}); });
+    ExpectRows(std::string("OrderBy ") + col, *t,
+               testing::StableSortPerm(*t, {col}),
+               [&] { return t->OrderBy({col}); });
+    ExpectRows(std::string("OrderBy desc ") + col, *t,
+               testing::StableSortPerm(*t, {col}, {false}),
+               [&] { return t->OrderBy({col}, {false}); });
   }
 }
 
 TEST(RadixParityStress, OrderByTwoColumnsMixedDirections) {
   const TablePtr t = MakeMixedTable(kRows, 0xB0B);
-  ExpectRadixParity("OrderBy (g,v)", [&] { return t->OrderBy({"g", "v"}); });
-  ExpectRadixParity("OrderBy (s,f) asc/desc", [&] {
-    return t->OrderBy({"s", "f"}, {true, false});
-  });
-  // Three key columns always take the comparison path; parity is trivial
-  // but the call must still succeed with the radix switch on.
-  ExpectRadixParity("OrderBy (g,v,s)",
-                    [&] { return t->OrderBy({"g", "v", "s"}); });
+  ExpectRows("OrderBy (g,v)", *t, testing::StableSortPerm(*t, {"g", "v"}),
+             [&] { return t->OrderBy({"g", "v"}); });
+  ExpectRows("OrderBy (s,f) asc/desc", *t,
+             testing::StableSortPerm(*t, {"s", "f"}, {true, false}),
+             [&] { return t->OrderBy({"s", "f"}, {true, false}); });
+  // Three key columns take the comparison fallback, the only path for
+  // that input; it must name the same rows.
+  ExpectRows("OrderBy (g,v,s)", *t,
+             testing::StableSortPerm(*t, {"g", "v", "s"}),
+             [&] { return t->OrderBy({"g", "v", "s"}); });
 }
 
 TEST(RadixParityStress, UniqueAndGroupBy) {
   const TablePtr t = MakeMixedTable(kRows, 0xC0DE);
-  ExpectRadixParity("Unique (g,s)", [&] { return t->Unique({"g", "s"}); });
-  ExpectRadixParity("GroupBy g", [&] {
-    return t->GroupByAggregate({"g"}, {{"v", AggFn::kSum, "total"},
-                                       {"f", AggFn::kMin, "lo"}});
-  });
-  ExpectRadixParity("GroupBy (g,s)", [&] {
-    return t->GroupByAggregate({"g", "s"}, {{"v", AggFn::kCount, "n"}});
-  });
+  ExpectRows("Unique (g,s)", *t, testing::RefUniqueRows(*t, {"g", "s"}),
+             [&] { return t->Unique({"g", "s"}); });
+  const std::vector<AggSpec> g_aggs = {{"v", AggFn::kSum, "total"},
+                                       {"f", AggFn::kMin, "lo"}};
+  ForEachThreadCount(
+      "GroupBy g", [&] { return t->GroupByAggregate({"g"}, g_aggs); },
+      [&](const Table& out, const std::string& ctx) {
+        ExpectGroupByOf(out, *t, {"g"}, g_aggs, ctx);
+      });
+  const std::vector<AggSpec> gs_aggs = {{"v", AggFn::kCount, "n"}};
+  ForEachThreadCount(
+      "GroupBy (g,s)",
+      [&] { return t->GroupByAggregate({"g", "s"}, gs_aggs); },
+      [&](const Table& out, const std::string& ctx) {
+        ExpectGroupByOf(out, *t, {"g", "s"}, gs_aggs, ctx);
+      });
 }
 
 TEST(RadixParityStress, NextKAndTopK) {
   const TablePtr t = MakeMixedTable(kRows, 0xDEED);
-  ExpectRadixParity("NextK (g,v)",
-                    [&] { return Table::NextK(*t, "g", "v", 2); });
-  ExpectRadixParity("TopK f", [&] { return t->TopK("f", 500); });
-  ExpectRadixParity("TopK v desc", [&] { return t->TopK("v", 500, false); });
+  std::vector<int64_t> pred, succ;
+  testing::RefNextKPairs(*t, "g", "v", 2, &pred, &succ);
+  ForEachThreadCount(
+      "NextK (g,v)", [&] { return Table::NextK(*t, "g", "v", 2); },
+      [&](const Table& out, const std::string& ctx) {
+        ExpectPairedRowsOf(out, *t, pred, succ, ctx);
+      });
+  ExpectRows("TopK f", *t, testing::RefTopKRows(*t, "f", 500, false),
+             [&] { return t->TopK("f", 500); });
+  ExpectRows("TopK v asc", *t, testing::RefTopKRows(*t, "v", 500, true),
+             [&] { return t->TopK("v", 500, true); });
 }
 
 TEST(RadixParityStress, SetOps) {
   const TablePtr a = MakeEdgeTable(kRows, 0xAAA, /*with_weight=*/false);
   const TablePtr b = MakeEdgeTable(kRows, 0xBBB, /*with_weight=*/false);
-  ExpectRadixParity("Union", [&] { return Table::UnionTables(*a, *b); });
-  ExpectRadixParity("Intersect",
-                    [&] { return Table::IntersectTables(*a, *b); });
-  ExpectRadixParity("Minus", [&] { return Table::MinusTables(*a, *b); });
+  // Union = the distinct rows of the concatenation, by first occurrence.
+  const TablePtr cat = Table::ConcatTables(*a, *b).ValueOrDie();
+  ExpectRows("Union", *cat, testing::RefUniqueRows(*cat, {"src", "dst"}),
+             [&] { return Table::UnionTables(*a, *b); });
+  ExpectRows("Intersect", *a, testing::RefSetOpRows(*a, *b, true),
+             [&] { return Table::IntersectTables(*a, *b); });
+  ExpectRows("Minus", *a, testing::RefSetOpRows(*a, *b, false),
+             [&] { return Table::MinusTables(*a, *b); });
 }
 
-TEST(RadixParityStress, TableToGraphMatchesComparisonPath) {
+TEST(RadixParityStress, TableToGraphMatchesNaiveBuild) {
   const TablePtr t = MakeEdgeTable(kRows, 0x9999, /*with_weight=*/false);
-  DirectedGraph ref;
-  {
-    ScopedNumThreads threads(1);
-    ScopedRadix radix_off(false);
-    auto g = TableToGraph(*t, "src", "dst");
-    ASSERT_TRUE(g.ok());
-    ref = std::move(*g);
-  }
+  // The sort-free reference: one AddEdge per row.
+  const DirectedGraph ref = TableToGraphNaive(*t, "src", "dst").ValueOrDie();
   for (int tc : StressThreadCounts()) {
     ScopedNumThreads threads(tc);
-    ScopedRadix radix_on(true);
     auto g = TableToGraph(*t, "src", "dst");
     ASSERT_TRUE(g.ok());
     EXPECT_TRUE(g->SameStructure(ref)) << "tc=" << tc;
@@ -224,30 +191,28 @@ TEST(RadixParityStress, TableToGraphMatchesComparisonPath) {
 
 TEST(RadixParityStress, TableToWeightedGraphWeightsBitIdentical) {
   const TablePtr t = MakeEdgeTable(kRows, 0x7777, /*with_weight=*/true);
-  WeightedGraphResult ref;
-  {
-    ScopedNumThreads threads(1);
-    ScopedRadix radix_off(false);
-    auto g = TableToWeightedGraph(*t, "src", "dst", "w");
-    ASSERT_TRUE(g.ok());
-    ref = std::move(*g);
+  // Reference: accumulate every row's weight onto its edge in ascending
+  // row order — duplicate-edge sums must come out bit-identical.
+  std::map<Edge, double> ref;
+  for (int64_t r = 0; r < t->NumRows(); ++r) {
+    ref[{t->column(0).GetInt(r), t->column(1).GetInt(r)}] +=
+        t->column(2).GetFloat(r);
   }
+  const DirectedGraph ref_graph =
+      TableToGraphNaive(*t, "src", "dst").ValueOrDie();
   for (int tc : StressThreadCounts()) {
     ScopedNumThreads threads(tc);
-    ScopedRadix radix_on(true);
     auto g = TableToWeightedGraph(*t, "src", "dst", "w");
     ASSERT_TRUE(g.ok());
-    ASSERT_TRUE(g->graph.SameStructure(ref.graph)) << "tc=" << tc;
-    ASSERT_EQ(g->weights.size(), ref.weights.size()) << "tc=" << tc;
-    // Duplicate-edge weight sums must come out bit-identical: both paths
-    // accumulate contributions in ascending source-row order.
-    ref.graph.ForEachEdge([&](NodeId u, NodeId v) {
-      uint64_t br, bg;
-      const double wr = ref.weights.Get(u, v), wg = g->weights.Get(u, v);
-      std::memcpy(&br, &wr, sizeof(br));
-      std::memcpy(&bg, &wg, sizeof(bg));
-      ASSERT_EQ(bg, br) << "tc=" << tc << " edge " << u << "->" << v;
-    });
+    ASSERT_TRUE(g->graph.SameStructure(ref_graph)) << "tc=" << tc;
+    ASSERT_EQ(g->weights.size(), static_cast<int64_t>(ref.size()))
+        << "tc=" << tc;
+    for (const auto& [e, w] : ref) {
+      const double got = g->weights.Get(e.first, e.second);
+      ASSERT_EQ(std::memcmp(&got, &w, sizeof(got)), 0)
+          << "tc=" << tc << " edge " << e.first << "->" << e.second << ": "
+          << got << " vs " << w;
+    }
   }
 }
 

@@ -27,7 +27,6 @@
 
 #include "algo/algo_view.h"
 #include "algo/bfs_engine.h"
-#include "algo/deltacsr_switch.h"
 #include "algo/pagerank.h"
 #include "serve/engine.h"
 #include "serve/session.h"
@@ -78,34 +77,65 @@ Fingerprint FingerprintView(const AlgoView& view) {
   return fp;
 }
 
+// One writer step: an edge batch, optionally followed by a single-edge
+// toggle (AddEdge, or DelEdge when the edge exists). Single-edge calls are
+// not journalable, so the read after a toggle takes the full-rebuild
+// refresh instead of the delta patch.
+struct Step {
+  std::vector<Edge> ins, del;
+  bool toggle = false;
+  Edge edge{0, 0};
+};
+
+void ApplyStep(DirectedGraph* g, const Step& step) {
+  g->ApplyEdgeBatch(step.ins, step.del);
+  if (step.toggle && !g->AddEdge(step.edge.first, step.edge.second)) {
+    g->DelEdge(step.edge.first, step.edge.second);
+  }
+}
+
 // Deterministic batch stream over (and slightly past) the node universe,
 // so some batches create nodes and exercise the node-add journal path.
 // Batches are pre-validated against `replica` (no-op candidates dropped),
-// and the replica's post-batch fingerprints keyed by stamp become the
-// oracle readers compare against.
-std::vector<std::pair<std::vector<Edge>, std::vector<Edge>>> MakeBatchStream(
-    DirectedGraph* replica, std::map<uint64_t, Fingerprint>* expected,
-    uint64_t seed, int n_batches, int ops_per_batch, NodeId max_id) {
+// and the replica's fingerprints after every mutation, keyed by stamp,
+// become the oracle readers compare against. With `toggles`, every batch
+// is followed by a single-edge toggle.
+std::vector<Step> MakeBatchStream(DirectedGraph* replica,
+                                  std::map<uint64_t, Fingerprint>* expected,
+                                  uint64_t seed, int n_batches,
+                                  int ops_per_batch, NodeId max_id,
+                                  bool toggles = false) {
   Rng rng(seed);
-  std::vector<std::pair<std::vector<Edge>, std::vector<Edge>>> batches;
-  (*expected)[replica->MutationStamp()] =
-      FingerprintView(*AlgoView::Of(*replica));
-  while (static_cast<int>(batches.size()) < n_batches) {
-    std::vector<Edge> ins, del;
+  std::vector<Step> steps;
+  const auto record = [&] {
+    (*expected)[replica->MutationStamp()] =
+        FingerprintView(*AlgoView::Of(*replica));
+  };
+  record();
+  while (static_cast<int>(steps.size()) < n_batches) {
+    Step step;
     for (int i = 0; i < ops_per_batch; ++i) {
       // ~6% of inserts target ids just past the current universe.
       const NodeId hi = rng.UniformReal() < 0.06 ? max_id + 8 : max_id;
-      ins.push_back({rng.UniformInt(0, max_id), rng.UniformInt(0, hi)});
-      del.push_back({rng.UniformInt(0, max_id), rng.UniformInt(0, max_id)});
+      step.ins.push_back({rng.UniformInt(0, max_id), rng.UniformInt(0, hi)});
+      step.del.push_back(
+          {rng.UniformInt(0, max_id), rng.UniformInt(0, max_id)});
     }
     const uint64_t before = replica->MutationStamp();
-    replica->ApplyEdgeBatch(ins, del);
+    replica->ApplyEdgeBatch(step.ins, step.del);
     if (replica->MutationStamp() == before) continue;  // No-op; retry.
-    (*expected)[replica->MutationStamp()] =
-        FingerprintView(*AlgoView::Of(*replica));
-    batches.push_back({std::move(ins), std::move(del)});
+    record();
+    if (toggles) {
+      step.toggle = true;
+      step.edge = {rng.UniformInt(0, max_id), rng.UniformInt(0, max_id)};
+      if (!replica->AddEdge(step.edge.first, step.edge.second)) {
+        replica->DelEdge(step.edge.first, step.edge.second);
+      }
+      record();
+    }
+    steps.push_back(std::move(step));
   }
-  return batches;
+  return steps;
 }
 
 TEST(ServingStressTest, ColdThunderingHerdBuildsExactlyOnce) {
@@ -145,18 +175,20 @@ TEST(ServingStressTest, ColdThunderingHerdBuildsExactlyOnce) {
 
 // The core reader/writer race: every pinned view must fingerprint exactly
 // like the single-threaded replica at the stamp it claims to represent —
-// at every reader count, with the delta path both on and off.
+// at every reader count, with a writer whose batches the refresh patches
+// and with one that interleaves single-edge toggles, so reads also take
+// the full-rebuild refresh under concurrent readers.
 TEST(ServingStressTest, ReadersSeeStampConsistentSnapshotsUnderWriter) {
   testing::ScopedNumThreads tc(1);
-  for (const bool delta_on : {true, false}) {
-    SCOPED_TRACE(std::string("deltacsr=") + (delta_on ? "on" : "off"));
-    deltacsr::ScopedEnable delta(delta_on);
+  for (const bool toggles : {false, true}) {
+    SCOPED_TRACE(std::string("single-edge toggles=") +
+                 (toggles ? "on" : "off"));
 
     DirectedGraph g = testing::RandomDirected(300, 1200, 0xBEEF);
     DirectedGraph replica = g;
     std::map<uint64_t, Fingerprint> expected;
-    const auto batches =
-        MakeBatchStream(&replica, &expected, 0x57AA, 12, 60, 299);
+    const std::vector<Step> steps =
+        MakeBatchStream(&replica, &expected, 0x57AA, 12, 60, 299, toggles);
     const uint64_t last_stamp = replica.MutationStamp();
 
     for (const int readers : testing::StressThreadCounts()) {
@@ -188,8 +220,8 @@ TEST(ServingStressTest, ReadersSeeStampConsistentSnapshotsUnderWriter) {
         });
       }
 
-      for (const auto& [ins, del] : batches) {
-        live.ApplyEdgeBatch(ins, del);
+      for (const Step& step : steps) {
+        ApplyStep(&live, step);
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       // Let readers observe the final state before stopping them.
@@ -217,7 +249,7 @@ TEST(ServingStressTest, EngineServesConsistentAnswersUnderWriter) {
   DirectedGraph g = testing::RandomDirected(300, 1200, 0xFACE);
   DirectedGraph replica = g;
   std::map<uint64_t, Fingerprint> expected;
-  const auto batches =
+  const std::vector<Step> steps =
       MakeBatchStream(&replica, &expected, 0x7E57, 10, 50, 299);
 
   DirectedGraph live = g;
@@ -225,8 +257,8 @@ TEST(ServingStressTest, EngineServesConsistentAnswersUnderWriter) {
   serve::Engine engine({.workers = 4, .queue_capacity = 256});
 
   std::thread writer([&] {
-    for (const auto& [ins, del] : batches) {
-      live.ApplyEdgeBatch(ins, del);
+    for (const Step& step : steps) {
+      ApplyStep(&live, step);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
   });

@@ -1,17 +1,18 @@
-// Radix-vs-comparator parity on float columns containing NaN, ±inf, and
-// ±0.0 — the regression suite for the FloatKey NaN-canonicalization fix.
+// Sort parity on float columns containing NaN, ±inf, and ±0.0 — the
+// regression suite for the FloatKey NaN-canonicalization fix.
 //
 // Before the fix, FloatKey passed NaN bits through the sign-flip
 // transform: negative-sign NaNs keyed below -inf and positive ones above
 // +inf, so the radix path scattered NaN rows to both ends while the
-// comparison path (std::stable_sort with RowComparator) put them wherever
-// operator< left them. The two paths now implement the same documented
-// total order — -inf < finite < +inf < NaN, all NaNs equal, -0.0 == +0.0
-// — so every sort-driven operator must produce *bit-identical* output
-// with the radix kernel on or off, at every thread count.
+// comparison order (RowComparator) put them wherever operator< left them.
+// Both now implement the same documented total order — -inf < finite <
+// +inf < NaN, all NaNs equal, -0.0 == +0.0 — so every sort-driven
+// operator must produce exactly the rows a std::stable_sort over
+// RowComparator names (tests/test_support.h), bit-identical, at every
+// thread count.
 //
 // The binary carries the `parity` ctest label, so the CI parity job runs
-// it alongside the CSR and delta-CSR parity gates.
+// it alongside the other parity gates.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -22,28 +23,17 @@
 
 #include "stress/stress_support.h"
 #include "table/table.h"
-#include "util/radix_sort.h"
+#include "test_support.h"
 #include "util/rng.h"
 
 namespace ringo {
 namespace {
 
+using testing::ExpectGroupByOf;
+using testing::ExpectRowsOf;
 using testing::ScopedNumThreads;
+using testing::StableSortPerm;
 using testing::StressThreadCounts;
-
-// RAII toggle for the radix kill switch (mirrors radix_stress_test).
-class ScopedRadix {
- public:
-  explicit ScopedRadix(bool on) : prev_(radix::Enabled()) {
-    radix::SetEnabled(on);
-  }
-  ~ScopedRadix() { radix::SetEnabled(prev_); }
-  ScopedRadix(const ScopedRadix&) = delete;
-  ScopedRadix& operator=(const ScopedRadix&) = delete;
-
- private:
-  bool prev_;
-};
 
 double PayloadNan(uint64_t payload, bool negative) {
   uint64_t bits = 0x7FF8000000000000ull | (payload & 0xFFFFFFFFull);
@@ -92,101 +82,74 @@ TablePtr MakeNanTable(int64_t n, uint64_t seed) {
   return t;
 }
 
-// Bit-identical table equality: row ids and every cell, doubles compared
-// by bits so NaN payload or sign drift would be caught.
-void ExpectSameTable(const Table& a, const Table& b, const std::string& ctx) {
-  ASSERT_EQ(a.num_columns(), b.num_columns()) << ctx;
-  ASSERT_EQ(a.NumRows(), b.NumRows()) << ctx;
-  for (int64_t r = 0; r < a.NumRows(); ++r) {
-    ASSERT_EQ(a.RowId(r), b.RowId(r)) << ctx << " row " << r;
-  }
-  for (int c = 0; c < a.num_columns(); ++c) {
-    const Column& ca = a.column(c);
-    const Column& cb = b.column(c);
-    ASSERT_EQ(ca.type(), cb.type()) << ctx << " col " << c;
-    for (int64_t r = 0; r < a.NumRows(); ++r) {
-      if (ca.type() == ColumnType::kFloat) {
-        uint64_t ba, bb;
-        const double da = ca.GetFloat(r), db = cb.GetFloat(r);
-        std::memcpy(&ba, &da, sizeof(ba));
-        std::memcpy(&bb, &db, sizeof(bb));
-        ASSERT_EQ(ba, bb) << ctx << " col " << c << " row " << r;
-      } else {
-        ASSERT_EQ(ca.GetInt(r), cb.GetInt(r)) << ctx << " col " << c
-                                              << " row " << r;
-      }
-    }
-  }
-}
-
-// Reference = comparison path at one thread; parity is asserted for both
-// kernels at every stress thread count.
+// `op` must return exactly the rows `rows` of `t` at every stress thread
+// count.
 template <typename Op>
-void ExpectRadixParity(const std::string& ctx, Op op) {
-  TablePtr ref;
-  {
-    ScopedNumThreads threads(1);
-    ScopedRadix radix_off(false);
-    auto r = op();
-    ASSERT_TRUE(r.ok()) << ctx << ": " << r.status().ToString();
-    ref = *r;
-  }
+void ExpectRows(const std::string& ctx, const Table& t,
+                const std::vector<int64_t>& rows, Op op) {
   for (int tc : StressThreadCounts()) {
     ScopedNumThreads threads(tc);
-    {
-      ScopedRadix radix_on(true);
-      auto r = op();
-      ASSERT_TRUE(r.ok()) << ctx;
-      ExpectSameTable(**r, *ref, ctx + " radix tc=" + std::to_string(tc));
-    }
-    {
-      ScopedRadix radix_off(false);
-      auto r = op();
-      ASSERT_TRUE(r.ok()) << ctx;
-      ExpectSameTable(**r, *ref, ctx + " cmp tc=" + std::to_string(tc));
-    }
+    auto r = op();
+    ASSERT_TRUE(r.ok()) << ctx << ": " << r.status().ToString();
+    ExpectRowsOf(**r, t, rows, ctx + " tc=" + std::to_string(tc));
   }
 }
 
 TEST(NanSortParity, OrderByFloatBothDirections) {
   const TablePtr t = MakeNanTable(kRows, 0xA1B2);
-  ExpectRadixParity("OrderBy f", [&] { return t->OrderBy({"f"}); });
-  ExpectRadixParity("OrderBy f desc",
-                    [&] { return t->OrderBy({"f"}, {false}); });
+  ExpectRows("OrderBy f", *t, StableSortPerm(*t, {"f"}),
+             [&] { return t->OrderBy({"f"}); });
+  ExpectRows("OrderBy f desc", *t, StableSortPerm(*t, {"f"}, {false}),
+             [&] { return t->OrderBy({"f"}, {false}); });
 }
 
 TEST(NanSortParity, OrderByCompositeKeys) {
   const TablePtr t = MakeNanTable(kRows, 0xF10A7);
-  ExpectRadixParity("OrderBy (g,f)", [&] { return t->OrderBy({"g", "f"}); });
-  ExpectRadixParity("OrderBy (f,g) asc/desc", [&] {
-    return t->OrderBy({"f", "g"}, {true, false});
-  });
+  ExpectRows("OrderBy (g,f)", *t, StableSortPerm(*t, {"g", "f"}),
+             [&] { return t->OrderBy({"g", "f"}); });
+  ExpectRows("OrderBy (f,g) asc/desc", *t,
+             StableSortPerm(*t, {"f", "g"}, {true, false}),
+             [&] { return t->OrderBy({"f", "g"}, {true, false}); });
 }
 
 TEST(NanSortParity, TopKAndGroupBy) {
   const TablePtr t = MakeNanTable(kRows, 0x70B0);
-  ExpectRadixParity("TopK f", [&] { return t->TopK("f", 700); });
-  ExpectRadixParity("TopK f asc", [&] { return t->TopK("f", 700, true); });
-  ExpectRadixParity("GroupBy g min/max/sum f", [&] {
-    return t->GroupByAggregate({"g"}, {{"f", AggFn::kMin, "lo"},
-                                       {"f", AggFn::kMax, "hi"},
-                                       {"f", AggFn::kSum, "total"}});
-  });
+  ExpectRows("TopK f", *t, testing::RefTopKRows(*t, "f", 700, false),
+             [&] { return t->TopK("f", 700); });
+  ExpectRows("TopK f asc", *t, testing::RefTopKRows(*t, "f", 700, true),
+             [&] { return t->TopK("f", 700, true); });
+  const std::vector<AggSpec> aggs = {{"f", AggFn::kMin, "lo"},
+                                     {"f", AggFn::kMax, "hi"},
+                                     {"f", AggFn::kSum, "total"}};
+  for (int tc : StressThreadCounts()) {
+    ScopedNumThreads threads(tc);
+    auto r = t->GroupByAggregate({"g"}, aggs);
+    ASSERT_TRUE(r.ok());
+    ExpectGroupByOf(**r, *t, {"g"}, aggs,
+                    "GroupBy g min/max/sum f tc=" + std::to_string(tc));
+  }
 }
 
 TEST(NanSortParity, UniqueOnFloatColumn) {
   const TablePtr t = MakeNanTable(kRows, 0x0DDB);
-  ExpectRadixParity("Unique f", [&] { return t->Unique({"f"}); });
-  ExpectRadixParity("Unique (g,f)", [&] { return t->Unique({"g", "f"}); });
+  ExpectRows("Unique f", *t, testing::RefUniqueRows(*t, {"f"}),
+             [&] { return t->Unique({"f"}); });
+  ExpectRows("Unique (g,f)", *t, testing::RefUniqueRows(*t, {"g", "f"}),
+             [&] { return t->Unique({"g", "f"}); });
 }
 
 // The documented order itself, not just parity: ascending puts every NaN
 // row at the bottom, after +inf, regardless of NaN sign or payload.
 TEST(NanSortParity, NansSortLastAscending) {
+  // One or two key columns take the radix kernel; three take the
+  // comparison fallback. Each must put every NaN last.
   const TablePtr t = MakeNanTable(kRows, 0x1A57);
-  for (const bool radix_on : {false, true}) {
-    ScopedRadix radix(radix_on);
-    auto sorted = t->OrderBy({"f"});
+  RINGO_CHECK_OK(t->AddIntColumn(
+      "zero", [](const Table&, int64_t) { return int64_t{0}; }));
+  const std::vector<std::vector<std::string>> keys = {
+      {"f"}, {"f", "g"}, {"f", "g", "zero"}};
+  for (const std::vector<std::string>& key : keys) {
+    auto sorted = t->OrderBy(key);
     ASSERT_TRUE(sorted.ok());
     const Column& f = (*sorted)->column(1);
     int64_t first_nan = (*sorted)->NumRows();
@@ -199,7 +162,7 @@ TEST(NanSortParity, NansSortLastAscending) {
     ASSERT_LT(first_nan, (*sorted)->NumRows()) << "table lost its NaNs";
     for (int64_t r = first_nan; r < (*sorted)->NumRows(); ++r) {
       EXPECT_TRUE(std::isnan(f.GetFloat(r)))
-          << "radix=" << radix_on << " non-NaN after first NaN at " << r;
+          << key.size() << " key(s): non-NaN after first NaN at " << r;
     }
   }
 }

@@ -1,17 +1,25 @@
 // Shared test scaffolding: random graph builders and brute-force reference
 // implementations that the property tests compare the real algorithms
-// against.
+// against, plus the comparison-sort references for the sort-driven table
+// operators.
 #ifndef RINGO_TESTS_TEST_SUPPORT_H_
 #define RINGO_TESTS_TEST_SUPPORT_H_
 
+#include <gtest/gtest.h>
+
 #include <algorithm>
+#include <cstring>
+#include <limits>
 #include <map>
+#include <numeric>
 #include <set>
+#include <string>
 #include <vector>
 
 #include "algo/algo_defs.h"
 #include "graph/directed_graph.h"
 #include "graph/undirected_graph.h"
+#include "table/row_compare.h"
 #include "table/table.h"
 #include "util/rng.h"
 
@@ -207,6 +215,252 @@ inline TablePtr MakeIntTable(const std::vector<std::string>& col_names,
     t->AppendRow(vals).Abort("MakeIntTable");
   }
   return t;
+}
+
+// ------------------------------------------------ sort-operator oracles
+//
+// Every sort-driven table operator (OrderBy, Unique, GroupBy, NextK, TopK,
+// set ops) documents its result as a function of the stable sort of the
+// row positions under RowComparator. The references below compute exactly
+// that with std::stable_sort, independently of the operators' radix
+// kernel and of their parallel comparison fallback.
+
+// Row positions of `t` stably sorted by `cols` (empty `ascending` = all
+// ascending): RowComparator order, physical position breaking ties.
+inline std::vector<int64_t> StableSortPerm(
+    const Table& t, const std::vector<std::string>& cols,
+    const std::vector<bool>& ascending = {}) {
+  std::vector<int> idx;
+  RINGO_CHECK_OK(ResolveColumns(t, cols, &idx));
+  const RowComparator cmp(&t, &t, idx, idx, ascending);
+  std::vector<int64_t> perm(t.NumRows());
+  std::iota(perm.begin(), perm.end(), 0);
+  std::stable_sort(perm.begin(), perm.end(),
+                   [&](int64_t a, int64_t b) { return cmp.Less(a, b); });
+  return perm;
+}
+
+// TopK reference: the first k rows of the stable sort by `col`.
+inline std::vector<int64_t> RefTopKRows(const Table& t, const std::string& col,
+                                        int64_t k, bool ascending) {
+  std::vector<int64_t> perm = StableSortPerm(t, {col}, {ascending});
+  perm.resize(std::min<int64_t>(k, static_cast<int64_t>(perm.size())));
+  return perm;
+}
+
+// For every row, the first row of its run of `cols`-equal rows in the
+// stable sort — the smallest position holding that key.
+inline std::vector<int64_t> RunFirstOf(const Table& t,
+                                       const std::vector<std::string>& cols) {
+  const std::vector<int64_t> perm = StableSortPerm(t, cols);
+  std::vector<int> idx;
+  RINGO_CHECK_OK(ResolveColumns(t, cols, &idx));
+  const RowComparator cmp(&t, &t, idx, idx);
+  std::vector<int64_t> first(t.NumRows());
+  for (size_t i = 0; i < perm.size(); ++i) {
+    first[perm[i]] =
+        i > 0 && cmp.Equal(perm[i - 1], perm[i]) ? first[perm[i - 1]] : perm[i];
+  }
+  return first;
+}
+
+// Unique reference: the first occurrence of every distinct key, in
+// physical order.
+inline std::vector<int64_t> RefUniqueRows(
+    const Table& t, const std::vector<std::string>& cols) {
+  const std::vector<int64_t> first = RunFirstOf(t, cols);
+  std::vector<int64_t> rows;
+  for (int64_t r = 0; r < t.NumRows(); ++r) {
+    if (first[r] == r) rows.push_back(r);
+  }
+  return rows;
+}
+
+// GroupIndex reference: dense group ids numbered by first occurrence.
+inline std::vector<int64_t> RefGroupIndex(
+    const Table& t, const std::vector<std::string>& cols) {
+  const std::vector<int64_t> first = RunFirstOf(t, cols);
+  std::vector<int64_t> gid(t.NumRows());
+  int64_t groups = 0;
+  for (int64_t r = 0; r < t.NumRows(); ++r) {
+    gid[r] = first[r] == r ? groups++ : gid[first[r]];
+  }
+  return gid;
+}
+
+// NextK reference: (predecessor, successor) row pairs — each row joined to
+// its up-to-k successors in the (group, order) stable sort, within its
+// group.
+inline void RefNextKPairs(const Table& t, const std::string& group_col,
+                          const std::string& order_col, int k,
+                          std::vector<int64_t>* pred,
+                          std::vector<int64_t>* succ) {
+  const std::vector<int64_t> perm =
+      StableSortPerm(t, {group_col, order_col});
+  std::vector<int> g;
+  RINGO_CHECK_OK(ResolveColumns(t, {group_col}, &g));
+  const RowComparator same_group(&t, &t, g, g);
+  const int64_t n = static_cast<int64_t>(perm.size());
+  for (int64_t i = 0; i < n; ++i) {
+    for (int64_t j = i + 1; j <= i + k && j < n; ++j) {
+      if (!same_group.Equal(perm[i], perm[j])) break;
+      pred->push_back(perm[i]);
+      succ->push_back(perm[j]);
+    }
+  }
+}
+
+// Intersect (keep_present) / Minus (!keep_present) reference: distinct
+// rows of `a` by first occurrence, kept when some row of `b` equals them
+// on every column (found by binary search in b's stable sort).
+inline std::vector<int64_t> RefSetOpRows(const Table& a, const Table& b,
+                                         bool keep_present) {
+  std::vector<std::string> names;
+  for (const ColumnSpec& c : a.schema().columns()) names.push_back(c.name);
+  std::vector<int> idx(a.num_columns());
+  std::iota(idx.begin(), idx.end(), 0);
+  const RowComparator cross(&a, &b, idx, idx);
+  const std::vector<int64_t> b_sorted = StableSortPerm(b, names);
+  std::vector<int64_t> rows;
+  for (int64_t r : RefUniqueRows(a, names)) {
+    const auto it = std::lower_bound(
+        b_sorted.begin(), b_sorted.end(), r,
+        [&](int64_t rb, int64_t ra) { return cross.Compare(ra, rb) > 0; });
+    const bool present = it != b_sorted.end() && cross.Equal(r, *it);
+    if (present == keep_present) rows.push_back(r);
+  }
+  return rows;
+}
+
+// Cell equality with doubles compared by bits (so ±0.0 and NaN payloads
+// count) and strings by pool id (both tables must share a pool).
+inline bool SameCell(const Column& a, int64_t ra, const Column& b,
+                     int64_t rb) {
+  if (a.type() != b.type()) return false;
+  switch (a.type()) {
+    case ColumnType::kInt:
+      return a.GetInt(ra) == b.GetInt(rb);
+    case ColumnType::kFloat: {
+      const double da = a.GetFloat(ra), db = b.GetFloat(rb);
+      return std::memcmp(&da, &db, sizeof(da)) == 0;
+    }
+    case ColumnType::kString:
+      return a.GetStr(ra) == b.GetStr(rb);
+  }
+  return false;
+}
+
+// Asserts `out` is exactly the rows `rows` of `in`, in that order: same
+// schema, same row ids, every cell bit-identical.
+inline void ExpectRowsOf(const Table& out, const Table& in,
+                         const std::vector<int64_t>& rows,
+                         const std::string& ctx) {
+  ASSERT_EQ(out.schema().ToString(), in.schema().ToString()) << ctx;
+  ASSERT_EQ(out.NumRows(), static_cast<int64_t>(rows.size())) << ctx;
+  for (int64_t i = 0; i < out.NumRows(); ++i) {
+    ASSERT_EQ(out.RowId(i), in.RowId(rows[i])) << ctx << " row " << i;
+    for (int c = 0; c < in.num_columns(); ++c) {
+      ASSERT_TRUE(SameCell(out.column(c), i, in.column(c), rows[i]))
+          << ctx << " col " << c << " row " << i;
+    }
+  }
+}
+
+// Asserts a paired output (NextK's layout: every column of `in` for the
+// predecessor, then every column again for the successor) holds exactly
+// the pairs (pred[i], succ[i]).
+inline void ExpectPairedRowsOf(const Table& out, const Table& in,
+                               const std::vector<int64_t>& pred,
+                               const std::vector<int64_t>& succ,
+                               const std::string& ctx) {
+  const int nc = in.num_columns();
+  ASSERT_EQ(out.num_columns(), 2 * nc) << ctx;
+  ASSERT_EQ(out.NumRows(), static_cast<int64_t>(pred.size())) << ctx;
+  for (int64_t i = 0; i < out.NumRows(); ++i) {
+    for (int c = 0; c < nc; ++c) {
+      ASSERT_TRUE(SameCell(out.column(c), i, in.column(c), pred[i]))
+          << ctx << " pred col " << c << " row " << i;
+      ASSERT_TRUE(SameCell(out.column(nc + c), i, in.column(c), succ[i]))
+          << ctx << " succ col " << c << " row " << i;
+    }
+  }
+}
+
+// Asserts a GroupByAggregate result against the reference grouping: one
+// row per group in first-occurrence order, key cells from each group's
+// first row, and every aggregate recomputed in row order (kCount; kSum,
+// kMin, kMax over int or float columns).
+inline void ExpectGroupByOf(const Table& out, const Table& in,
+                            const std::vector<std::string>& group_cols,
+                            const std::vector<AggSpec>& aggs,
+                            const std::string& ctx) {
+  const std::vector<int64_t> gid = RefGroupIndex(in, group_cols);
+  std::vector<int64_t> rep;
+  for (int64_t r = 0; r < in.NumRows(); ++r) {
+    if (gid[r] == static_cast<int64_t>(rep.size())) rep.push_back(r);
+  }
+  const int64_t groups = static_cast<int64_t>(rep.size());
+  ASSERT_EQ(out.NumRows(), groups) << ctx;
+  const int nk = static_cast<int>(group_cols.size());
+  ASSERT_EQ(out.num_columns(), nk + static_cast<int>(aggs.size())) << ctx;
+  for (int k = 0; k < nk; ++k) {
+    const Column& key = in.column(in.FindColumn(group_cols[k]).ValueOrDie());
+    for (int64_t g = 0; g < groups; ++g) {
+      ASSERT_TRUE(SameCell(out.column(k), g, key, rep[g]))
+          << ctx << " key " << group_cols[k] << " group " << g;
+    }
+  }
+  for (size_t a = 0; a < aggs.size(); ++a) {
+    const Column& got = out.column(nk + static_cast<int>(a));
+    if (aggs[a].fn == AggFn::kCount) {
+      std::vector<int64_t> count(groups, 0);
+      for (int64_t r = 0; r < in.NumRows(); ++r) ++count[gid[r]];
+      for (int64_t g = 0; g < groups; ++g) {
+        ASSERT_EQ(got.GetInt(g), count[g]) << ctx << " count group " << g;
+      }
+      continue;
+    }
+    const Column& col = in.column(in.FindColumn(aggs[a].column).ValueOrDie());
+    ASSERT_TRUE(aggs[a].fn == AggFn::kSum || aggs[a].fn == AggFn::kMin ||
+                aggs[a].fn == AggFn::kMax)
+        << ctx << ": no reference for this aggregate";
+    if (col.type() == ColumnType::kInt) {
+      std::vector<int64_t> sum(groups, 0);
+      std::vector<int64_t> lo(groups, std::numeric_limits<int64_t>::max());
+      std::vector<int64_t> hi(groups, std::numeric_limits<int64_t>::min());
+      for (int64_t r = 0; r < in.NumRows(); ++r) {
+        const int64_t v = col.GetInt(r);
+        sum[gid[r]] += v;
+        lo[gid[r]] = std::min(lo[gid[r]], v);
+        hi[gid[r]] = std::max(hi[gid[r]], v);
+      }
+      const std::vector<int64_t>& want =
+          aggs[a].fn == AggFn::kSum ? sum : aggs[a].fn == AggFn::kMin ? lo : hi;
+      for (int64_t g = 0; g < groups; ++g) {
+        ASSERT_EQ(got.GetInt(g), want[g]) << ctx << " agg " << a << " group "
+                                          << g;
+      }
+    } else {
+      // Row-order accumulation; min/max skip NaN the way `v < min` does.
+      std::vector<double> sum(groups, 0.0);
+      std::vector<double> lo(groups, std::numeric_limits<double>::infinity());
+      std::vector<double> hi(groups, -std::numeric_limits<double>::infinity());
+      for (int64_t r = 0; r < in.NumRows(); ++r) {
+        const double v = col.GetFloat(r);
+        sum[gid[r]] += v;
+        if (v < lo[gid[r]]) lo[gid[r]] = v;
+        if (v > hi[gid[r]]) hi[gid[r]] = v;
+      }
+      const std::vector<double>& want =
+          aggs[a].fn == AggFn::kSum ? sum : aggs[a].fn == AggFn::kMin ? lo : hi;
+      for (int64_t g = 0; g < groups; ++g) {
+        const double v = got.GetFloat(g);
+        ASSERT_EQ(std::memcmp(&v, &want[g], sizeof(v)), 0)
+            << ctx << " agg " << a << " group " << g << ": " << v << " vs "
+            << want[g];
+      }
+    }
+  }
 }
 
 }  // namespace testing

@@ -216,14 +216,6 @@ TEST(RadixSortTest, KeyRows2SortByHiThenLoStably) {
   }
 }
 
-TEST(RadixSortTest, EnabledToggleRoundTrips) {
-  ASSERT_TRUE(radix::Enabled());  // Default on.
-  radix::SetEnabled(false);
-  EXPECT_FALSE(radix::Enabled());
-  radix::SetEnabled(true);
-  EXPECT_TRUE(radix::Enabled());
-}
-
 TEST(ByteOrderRanksTest, RanksFollowByteOrderNotInterningOrder) {
   StringPool pool;
   // Interned deliberately out of byte order.

@@ -3,6 +3,12 @@
 // keeps string columns as cheap to scan, group and join as integer columns
 // (comparisons are id comparisons when both sides share a pool) — the same
 // design SNAP/Ringo use for their table engine (§2.3).
+//
+// Ids are dense and handed out in interning order, so whoever interns
+// concurrently decides the ids by lock arrival. Loaders that want ids
+// independent of thread timing intern from one thread in an order they
+// fix themselves: the TSV loader parses in parallel into chunk-local
+// dictionaries and interns them afterwards in file order (DESIGN.md §15).
 #ifndef RINGO_STORAGE_STRING_POOL_H_
 #define RINGO_STORAGE_STRING_POOL_H_
 

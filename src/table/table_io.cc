@@ -1,14 +1,20 @@
 #include "table/table_io.h"
 
+#include <fcntl.h>
+#include <sys/stat.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <bit>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
 #include <span>
-#include <sstream>
 #include <string_view>
 #include <unordered_map>
 
+#include "storage/flat_hash_map.h"
 #include "storage/mmap_file.h"
 #include "util/checksum.h"
 #include "util/metrics.h"
@@ -20,60 +26,174 @@ namespace ringo {
 
 namespace {
 
-// Splits `text` into line views, skipping comments/blank lines. When
-// `has_header`, the header is the first non-blank line — even a
-// '#'-prefixed one (the common "# col1<TAB>col2" TSV export format) — and
-// is consumed before comment-skipping applies. Skipping comments first
-// used to silently promote the first data row to header and drop it.
-std::vector<std::string_view> DataLines(std::string_view text,
-                                        bool has_header) {
-  std::vector<std::string_view> lines;
+// Smallest slice of the input worth a parse chunk of its own: below it the
+// fork/join costs more than the parse.
+constexpr size_t kMinChunkBytes = size_t{16} << 10;
+
+// Reads the whole file into one buffer sized from its length. Reading runs
+// to end of file, so a file that shrinks while it is read yields a shorter
+// text (and whatever Status that text parses to), never a fault, and one
+// that grows or has no size (a pipe) is read to its end.
+Result<std::string> ReadFileBytes(const std::string& path) {
+  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (fd < 0) {
+    return Status::IOError("cannot open '" + path + "' for reading");
+  }
+  std::string buf;
+  struct stat st;
+  if (::fstat(fd, &st) == 0 && st.st_size > 0) {
+    buf.resize(static_cast<size_t>(st.st_size));
+  }
+  size_t len = 0;
+  char spill[4096];  // Bytes beyond the stat size.
+  for (;;) {
+    const bool in_buf = len < buf.size();
+    const ssize_t got =
+        in_buf ? ::read(fd, buf.data() + len, buf.size() - len)
+               : ::read(fd, spill, sizeof(spill));
+    if (got < 0) {
+      if (errno == EINTR) continue;
+      const std::string err = std::strerror(errno);
+      ::close(fd);
+      return Status::IOError("read failed for '" + path + "': " + err);
+    }
+    if (got == 0) break;
+    if (!in_buf) buf.append(spill, static_cast<size_t>(got));
+    len += static_cast<size_t>(got);
+  }
+  ::close(fd);
+  buf.resize(len);
+  return buf;
+}
+
+// Calls fn(line) for each line of `text` ('\n'-terminated, or the final
+// unterminated one) with one trailing '\r' removed, until fn returns false.
+// Returns the offset just past the last line visited.
+template <typename Fn>
+size_t ForEachLine(std::string_view text, Fn&& fn) {
   size_t start = 0;
-  bool header_pending = has_header;
   while (start < text.size()) {
     size_t end = text.find('\n', start);
     if (end == std::string_view::npos) end = text.size();
     std::string_view line = text.substr(start, end - start);
-    start = end + 1;
+    start = std::min(end + 1, text.size());
     if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
-    if (line.empty()) continue;
-    if (header_pending) {
-      header_pending = false;  // Consumed, commented or not.
-      continue;
-    }
-    if (line.front() == '#') continue;
-    lines.push_back(line);
+    if (!fn(line)) break;
   }
-  return lines;
+  return start;
 }
 
-Status ParseLine(const Schema& schema, std::string_view line, int64_t lineno,
-                 StringPool* pool, std::vector<Column>* cols) {
-  const std::vector<std::string_view> fields = SplitFields(line, '\t');
-  if (static_cast<int>(fields.size()) != schema.num_columns()) {
-    return Status::InvalidArgument(
-        "line " + std::to_string(lineno) + ": expected " +
-        std::to_string(schema.num_columns()) + " fields, got " +
-        std::to_string(fields.size()));
+// Blank lines and '#' comments carry no row.
+bool IsDataLine(std::string_view line) {
+  return !line.empty() && line.front() != '#';
+}
+
+// A chunk's string dictionary: each distinct field gets the next code, so
+// codes follow first occurrence in row-major order. Keys are views into the
+// file buffer; no bytes are copied.
+class ChunkDict {
+ public:
+  StringPool::Id Code(std::string_view s) {
+    const auto [code, fresh] =
+        codes_.Insert(s, static_cast<StringPool::Id>(strs_.size()));
+    if (fresh) {
+      RINGO_CHECK_LT(strs_.size(), size_t{INT32_MAX})
+          << "more than 2^31 distinct strings in one load chunk";
+      strs_.push_back(s);
+    }
+    return *code;
   }
-  for (int c = 0; c < schema.num_columns(); ++c) {
-    switch (schema.column(c).type) {
+  const std::vector<std::string_view>& strings() const { return strs_; }
+
+ private:
+  FlatHashMap<std::string_view, StringPool::Id> codes_;
+  std::vector<std::string_view> strs_;  // Code -> bytes.
+};
+
+// One parse chunk: a run of whole lines of the data region.
+struct Chunk {
+  std::string_view text;
+  int64_t lines = 0;       // File lines, blank and comment lines included.
+  int64_t rows = 0;        // Data lines.
+  int64_t first_line = 0;  // File line number of the chunk's first line.
+  int64_t first_row = 0;   // Table row the chunk's first data line fills.
+  Status status;           // The chunk's first parse error.
+  ChunkDict dict;
+  std::vector<StringPool::Id> pool_ids;  // Dictionary code -> pool id.
+};
+
+// Where a chunk writes column c: the final column's storage, typed.
+struct ColumnSink {
+  ColumnType type;
+  std::string_view name;
+  int64_t* ints = nullptr;
+  double* floats = nullptr;
+  StringPool::Id* strs = nullptr;  // Chunk-local codes until remapped.
+};
+
+Status FieldError(int64_t lineno, std::string_view column,
+                  const Status& cause) {
+  return Status::InvalidArgument("line " + std::to_string(lineno) +
+                                 ", column '" + std::string(column) +
+                                 "': " + cause.message());
+}
+
+// Parses one data line into row `row` of the sinks, walking its fields in
+// place. String fields get the chunk dictionary's codes.
+Status ParseLine(const std::vector<ColumnSink>& sinks, std::string_view line,
+                 int64_t lineno, int64_t row, ChunkDict* dict) {
+  const size_t ncols = sinks.size();
+  size_t pos = 0;  // Start of the next field; line.size() + 1 past the last.
+  size_t c = 0;
+  for (; c < ncols && pos <= line.size(); ++c) {
+    size_t end = line.find('\t', pos);
+    if (end == std::string_view::npos) end = line.size();
+    const std::string_view field = line.substr(pos, end - pos);
+    pos = end + 1;
+    const ColumnSink& sink = sinks[c];
+    switch (sink.type) {
       case ColumnType::kInt: {
-        RINGO_ASSIGN_OR_RETURN(const int64_t v, ParseInt64(fields[c]));
-        (*cols)[c].AppendInt(v);
+        const Result<int64_t> v = ParseInt64(field);
+        if (!v.ok()) return FieldError(lineno, sink.name, v.status());
+        sink.ints[row] = *v;
         break;
       }
       case ColumnType::kFloat: {
-        RINGO_ASSIGN_OR_RETURN(const double v, ParseDouble(fields[c]));
-        (*cols)[c].AppendFloat(v);
+        const Result<double> v = ParseDouble(field);
+        if (!v.ok()) return FieldError(lineno, sink.name, v.status());
+        sink.floats[row] = *v;
         break;
       }
       case ColumnType::kString:
-        (*cols)[c].AppendStr(pool->GetOrAdd(fields[c]));
+        sink.strs[row] = dict->Code(field);
         break;
     }
   }
+  if (c < ncols || pos <= line.size()) {
+    const auto got = std::count(line.begin(), line.end(), '\t') + 1;
+    return Status::InvalidArgument(
+        "line " + std::to_string(lineno) + ": expected " +
+        std::to_string(ncols) + " fields, got " + std::to_string(got));
+  }
   return Status::OK();
+}
+
+// Splits `data` into at most `parts` runs of whole lines of about equal
+// byte length.
+std::vector<Chunk> SplitChunks(std::string_view data, int parts) {
+  std::vector<Chunk> chunks(parts);
+  size_t begin = 0;
+  for (int k = 0; k < parts; ++k) {
+    size_t end = data.size();
+    if (k + 1 < parts) {
+      const size_t target = std::max(begin, data.size() / parts * (k + 1));
+      end = data.find('\n', target);
+      end = end == std::string_view::npos ? data.size() : end + 1;
+    }
+    chunks[k].text = data.substr(begin, end - begin);
+    begin = end;
+  }
+  return chunks;
 }
 
 }  // namespace
@@ -81,54 +201,113 @@ Status ParseLine(const Schema& schema, std::string_view line, int64_t lineno,
 Result<TablePtr> LoadTableTSV(const Schema& schema, const std::string& path,
                               std::shared_ptr<StringPool> pool,
                               bool has_header) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return Status::IOError("cannot open '" + path + "' for reading");
+  trace::Span span("Table/LoadTableTSV");
+  const int ncols = schema.num_columns();
+  std::string text;
+  std::vector<Chunk> chunks;
+  int64_t n = 0;
+  {
+    trace::Span phase("Table/LoadTableTSV/read");
+    RINGO_ASSIGN_OR_RETURN(text, ReadFileBytes(path));
+    // The header is the first non-blank line, '#'-prefixed or not.
+    std::string_view data = text;
+    int64_t header_lines = 0;
+    if (has_header) {
+      data.remove_prefix(ForEachLine(data, [&](std::string_view line) {
+        ++header_lines;
+        return line.empty();
+      }));
+    }
+    const auto parts = static_cast<int>(std::clamp<size_t>(
+        data.size() / kMinChunkBytes, 1, static_cast<size_t>(NumThreads())));
+    chunks = SplitChunks(data, parts);
+    ParallelFor(0, parts, [&](int64_t k) {
+      Chunk& ch = chunks[k];
+      ForEachLine(ch.text, [&](std::string_view line) {
+        ++ch.lines;
+        ch.rows += IsDataLine(line);
+        return true;
+      });
+    });
+    int64_t line = header_lines + 1;
+    for (Chunk& ch : chunks) {
+      ch.first_line = line;
+      ch.first_row = n;
+      line += ch.lines;
+      n += ch.rows;
+    }
+    phase.AddAttr("rows", n);
+    phase.AddAttr("bytes", static_cast<int64_t>(text.size()));
   }
-  std::ostringstream buf;
-  buf << in.rdbuf();
-  const std::string text = buf.str();
-  const std::vector<std::string_view> lines = DataLines(text, has_header);
-  const int64_t n = static_cast<int64_t>(lines.size());
 
   TablePtr table = Table::Create(schema, std::move(pool));
-  StringPool* out_pool = table->pool().get();
+  std::vector<ColumnSink> sinks;
+  bool has_strings = false;
+  for (int c = 0; c < ncols; ++c) {
+    Column& col = table->mutable_column(c);
+    col.Resize(n);
+    ColumnSink sink{schema.column(c).type, schema.column(c).name};
+    switch (sink.type) {
+      case ColumnType::kInt: sink.ints = col.ints().data(); break;
+      case ColumnType::kFloat: sink.floats = col.floats().data(); break;
+      case ColumnType::kString:
+        sink.strs = col.strs().data();
+        has_strings = true;
+        break;
+    }
+    sinks.push_back(sink);
+  }
 
-  // Chunk-parallel parse into per-thread column fragments.
-  const int threads = NumThreads();
-  const std::vector<int64_t> bounds = PartitionRange(n, threads);
-  std::vector<std::vector<Column>> frag(threads);
-  std::vector<Status> frag_status(threads);
-#pragma omp parallel num_threads(threads)
   {
-    const int t = omp_get_thread_num();
-    if (t < threads) {
-      std::vector<Column>& cols = frag[t];
-      for (int c = 0; c < schema.num_columns(); ++c) {
-        cols.emplace_back(schema.column(c).type);
-        cols.back().Reserve(bounds[t + 1] - bounds[t]);
+    trace::Span phase("Table/LoadTableTSV/parse");
+    ParallelFor(0, static_cast<int64_t>(chunks.size()), [&](int64_t k) {
+      Chunk& ch = chunks[k];
+      int64_t lineno = ch.first_line;
+      int64_t row = ch.first_row;
+      ForEachLine(ch.text, [&](std::string_view line) {
+        if (IsDataLine(line)) {
+          ch.status = ParseLine(sinks, line, lineno, row++, &ch.dict);
+        }
+        ++lineno;
+        return ch.status.ok();
+      });
+    });
+    // Chunks cover the file in order and each stops at its first error, so
+    // the first failed chunk holds the file's first bad line.
+    for (const Chunk& ch : chunks) RINGO_RETURN_NOT_OK(ch.status);
+    phase.AddAttr("rows", n);
+    phase.AddAttr("bytes", static_cast<int64_t>(text.size()));
+  }
+
+  if (has_strings) {
+    // Only now, with every chunk parsed, do strings reach the shared pool,
+    // from this one thread and chunk 0's dictionary first: ids follow
+    // first occurrence in the file at every chunk count, and a failed load
+    // interns nothing.
+    trace::Span phase("Table/LoadTableTSV/intern");
+    StringPool& out_pool = *table->pool();
+    int64_t bytes = 0;
+    for (Chunk& ch : chunks) {
+      for (std::string_view s : ch.dict.strings()) {
+        ch.pool_ids.push_back(out_pool.GetOrAdd(s));
+        bytes += static_cast<int64_t>(s.size());
       }
-      for (int64_t i = bounds[t]; i < bounds[t + 1]; ++i) {
-        Status st = ParseLine(schema, lines[i], i + 1, out_pool, &cols);
-        if (!st.ok()) {
-          frag_status[t] = std::move(st);
-          break;
+    }
+    ParallelFor(0, static_cast<int64_t>(chunks.size()), [&](int64_t k) {
+      const Chunk& ch = chunks[k];
+      for (const ColumnSink& sink : sinks) {
+        if (sink.strs == nullptr) continue;
+        for (int64_t r = ch.first_row; r < ch.first_row + ch.rows; ++r) {
+          sink.strs[r] = ch.pool_ids[sink.strs[r]];
         }
       }
-    }
-  }
-  for (const Status& st : frag_status) {
-    RINGO_RETURN_NOT_OK(st);
-  }
-  // Reserve final capacity up front so the fragment merge appends without
-  // reallocation (n is exact: every fragment row survives or we returned).
-  table->ReserveRows(n);
-  for (int t = 0; t < threads; ++t) {
-    for (int c = 0; c < schema.num_columns(); ++c) {
-      table->mutable_column(c).AppendColumn(frag[t][c]);
-    }
+    });
+    phase.AddAttr("rows", n);
+    phase.AddAttr("bytes", bytes);
   }
   RINGO_RETURN_NOT_OK(table->SealAppendedRows(n));
+  span.AddAttr("rows", n);
+  span.AddAttr("bytes", static_cast<int64_t>(text.size()));
   return table;
 }
 

@@ -19,8 +19,18 @@ namespace ringo {
 // starting with '#' and empty lines are skipped; with `has_header` the
 // first non-blank line is consumed as the header — even when it is
 // '#'-prefixed (the "# col1<TAB>col2" commented-header export format), so
-// the first data row is never mistaken for a header. Parsing is
-// chunk-parallel.
+// the first data row is never mistaken for a header.
+//
+// The file is read once into one buffer and parsed chunk-parallel straight
+// into the final columns (DESIGN.md §15). String fields are interned into
+// `pool` only after every line parsed, in file order, so the pool ids are
+// those of a serial load at every thread count (unless other threads
+// intern into the same pool meanwhile), and a failed load leaves the pool
+// (size and Version()) untouched. Errors are InvalidArgument
+// naming the file's first bad line: "line N: expected K fields, got M" or
+// "line N, column '<name>': cannot parse ...", N counted in file lines.
+// A missing or unreadable file is IOError. Safe to call concurrently with
+// other loads into the same pool.
 Result<TablePtr> LoadTableTSV(const Schema& schema, const std::string& path,
                               std::shared_ptr<StringPool> pool = nullptr,
                               bool has_header = false);

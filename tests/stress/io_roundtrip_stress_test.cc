@@ -3,15 +3,20 @@
 // including the cases the plain SNAP edge-list format silently loses
 // (isolated nodes, preserved here via "# Node:" markers) — and the parser
 // must accept any whitespace-run tokenization while rejecting malformed
-// lines with a Corruption status.
+// lines with a Corruption status. Table TSV loads running at once into one
+// shared StringPool, as serving sessions do, must each equal a serial load.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cstdio>
 #include <fstream>
+#include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "graph/graph_io.h"
+#include "table/table_io.h"
 #include "test_support.h"
 #include "util/rng.h"
 
@@ -169,6 +174,74 @@ TEST_F(IoRoundtripStress, DoubleRoundTripIsIdempotent) {
                        std::istreambuf_iterator<char>());
   };
   EXPECT_EQ(slurp(p1), slurp(p2));
+}
+
+// Several threads load different TSV files into one shared pool at the
+// same time, each load itself chunk-parallel. Every result equals a serial
+// load of its file into a pool of its own, cell by cell with strings
+// compared by bytes, and the shared pool holds each distinct string once.
+TEST_F(IoRoundtripStress, ConcurrentTsvLoadsIntoOneSharedPool) {
+  constexpr int kLoaders = 4;
+  const Schema schema{{"user", ColumnType::kString},
+                      {"score", ColumnType::kFloat},
+                      {"tag", ColumnType::kString},
+                      {"id", ColumnType::kInt}};
+  std::vector<std::string> paths;
+  std::set<std::string> distinct = {"resident"};
+  for (int f = 0; f < kLoaders; ++f) {
+    Rng rng(0x7A8 + f);
+    std::string body;
+    for (int i = 0; i < 20000; ++i) {
+      // Users overlap between files; tags are file-specific.
+      const std::string user = "u" + std::to_string(rng.UniformInt(0, 3000));
+      const std::string tag =
+          "f" + std::to_string(f) + "t" + std::to_string(i % 50);
+      distinct.insert(user);
+      distinct.insert(tag);
+      body += user + "\t" + std::to_string(rng.UniformReal()) + "\t" + tag +
+              "\t" + std::to_string(i) + "\n";
+    }
+    paths.push_back(TempPath("shared" + std::to_string(f) + ".tsv"));
+    std::ofstream(paths.back(), std::ios::binary) << body;
+  }
+  std::vector<TablePtr> serial;
+  for (const std::string& p : paths) {
+    serial.push_back(LoadTableTSV(schema, p).ValueOrDie());
+  }
+
+  for (int round = 0; round < 3; ++round) {
+    auto pool = std::make_shared<StringPool>();
+    pool->GetOrAdd("resident");
+    std::vector<TablePtr> got(kLoaders);
+    std::vector<Status> status(kLoaders);
+    std::vector<std::thread> loaders;
+    for (int f = 0; f < kLoaders; ++f) {
+      loaders.emplace_back([&, f] {
+        Result<TablePtr> r = LoadTableTSV(schema, paths[f], pool);
+        status[f] = r.status();
+        if (r.ok()) got[f] = *r;
+      });
+    }
+    for (std::thread& t : loaders) t.join();
+
+    EXPECT_EQ(pool->size(), static_cast<int64_t>(distinct.size()));
+    for (int f = 0; f < kLoaders; ++f) {
+      ASSERT_TRUE(status[f].ok()) << status[f];
+      const Table& a = *got[f];
+      const Table& b = *serial[f];
+      ASSERT_EQ(a.NumRows(), b.NumRows());
+      for (int64_t r = 0; r < a.NumRows(); ++r) {
+        ASSERT_EQ(a.pool()->Get(a.column(0).GetStr(r)),
+                  b.pool()->Get(b.column(0).GetStr(r)))
+            << "file " << f << " row " << r;
+        ASSERT_EQ(std::bit_cast<uint64_t>(a.column(1).GetFloat(r)),
+                  std::bit_cast<uint64_t>(b.column(1).GetFloat(r)));
+        ASSERT_EQ(a.pool()->Get(a.column(2).GetStr(r)),
+                  b.pool()->Get(b.column(2).GetStr(r)));
+        ASSERT_EQ(a.column(3).GetInt(r), b.column(3).GetInt(r));
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -1,8 +1,8 @@
 #include "algo/connectivity.h"
 
 #include <algorithm>
+#include <atomic>
 #include <memory>
-#include <numeric>
 
 #include "algo/algo_view.h"
 #include "algo/node_index.h"
@@ -14,43 +14,110 @@ namespace ringo {
 
 namespace {
 
-// Union-find with path halving + union by size.
-class UnionFind {
+// Lock-free union-find over dense indices. Linking always hangs the
+// larger root under the smaller one with a CAS, so every parent pointer
+// only ever decreases: no cycles, and each component's root ends as its
+// smallest index whatever order the threads link in. Find halves paths
+// with a CAS too; a lost race there only skips one shortcut.
+class ConcurrentUnionFind {
  public:
-  explicit UnionFind(int64_t n) : parent_(n), size_(n, 1) {
-    std::iota(parent_.begin(), parent_.end(), 0);
+  explicit ConcurrentUnionFind(int64_t n) : parent_(n) {
+    ParallelFor(0, n, [&](int64_t i) { parent_[i] = i; });
   }
 
   int64_t Find(int64_t x) {
-    while (parent_[x] != x) {
-      parent_[x] = parent_[parent_[x]];
-      x = parent_[x];
+    while (true) {
+      const int64_t p = Load(x);
+      if (p == x) return x;
+      const int64_t gp = Load(p);
+      if (gp == p) return p;
+      int64_t expected = p;
+      std::atomic_ref<int64_t>(parent_[x]).compare_exchange_weak(
+          expected, gp, std::memory_order_relaxed);
+      x = gp;
     }
-    return x;
   }
 
   void Union(int64_t a, int64_t b) {
-    a = Find(a);
-    b = Find(b);
-    if (a == b) return;
-    if (size_[a] < size_[b]) std::swap(a, b);
-    parent_[b] = a;
-    size_[a] += size_[b];
+    while (true) {
+      a = Find(a);
+      b = Find(b);
+      if (a == b) return;
+      if (a < b) std::swap(a, b);
+      int64_t expected = a;  // Still a root?
+      if (std::atomic_ref<int64_t>(parent_[a]).compare_exchange_strong(
+              expected, b, std::memory_order_relaxed)) {
+        return;
+      }
+    }
   }
 
  private:
+  int64_t Load(int64_t x) {
+    return std::atomic_ref<int64_t>(parent_[x]).load(
+        std::memory_order_relaxed);
+  }
+
   std::vector<int64_t> parent_;
-  std::vector<int64_t> size_;
 };
 
+// Weak components of the view's arcs (edge direction ignored), as each
+// index's root, by neighbour sampling in the style of Afforest (Sutton et
+// al., IPDPS 2018):
+//   1. every node links to its first out-neighbour;
+//   2. the most common root of an evenly spaced sample names the likely
+//      giant component;
+//   3. every node not yet in it links all of its arcs, in both directions.
+// Skipping a node of the giant component loses no edge: an edge to a node
+// outside it is linked from that node's side, and an edge inside it joins
+// nodes that are already joined. The roots are each component's smallest
+// index, but the labels do not depend on that: Relabel numbers them by
+// first occurrence in ascending index order.
+std::vector<int64_t> ComponentRoots(const AlgoView& view) {
+  const int64_t n = view.NumNodes();
+  ConcurrentUnionFind uf(n);
+  ParallelForDynamic(0, n, [&](int64_t u) {
+    const NbrSpan out = view.Out(u);
+    if (!out.empty()) uf.Union(u, out[0]);
+  });
+  std::vector<int64_t> sample;
+  for (int64_t i = 0; i < n; i += std::max<int64_t>(1, n / 1024)) {
+    sample.push_back(uf.Find(i));
+  }
+  std::sort(sample.begin(), sample.end());
+  int64_t giant = -1;
+  int64_t giant_hits = 0;
+  for (size_t a = 0, b = 0; a < sample.size(); a = b) {
+    while (b < sample.size() && sample[b] == sample[a]) ++b;
+    if (static_cast<int64_t>(b - a) > giant_hits) {
+      giant_hits = static_cast<int64_t>(b - a);
+      giant = sample[a];
+    }
+  }
+  ParallelForDynamic(0, n, [&](int64_t u) {
+    if (uf.Find(u) == giant) return;
+    view.ForEachOut(u, [&](int64_t v) { uf.Union(u, v); });
+    if (view.directed()) {
+      view.ForEachIn(u, [&](int64_t v) { uf.Union(u, v); });
+    }
+  });
+  std::vector<int64_t> raw(n);
+  ParallelFor(0, n, [&](int64_t i) { raw[i] = uf.Find(i); });
+  return raw;
+}
+
 // Renumbers per-index labels densely by first occurrence (index order =
-// ascending node id, so component 0 holds the smallest id).
-ComponentLabels Relabel(const NodeIndex& ni, std::vector<int64_t>& raw) {
+// ascending node id, so component 0 holds the smallest id). Raw labels are
+// dense indices or component numbers, so both lie in [0, n).
+ComponentLabels Relabel(const NodeIndex& ni, const std::vector<int64_t>& raw) {
   const int64_t n = ni.size();
-  FlatHashMap<int64_t, int64_t> dense;
+  std::vector<int64_t> dense(n, -1);
   std::vector<int64_t> labels(n);
+  int64_t next = 0;
   for (int64_t i = 0; i < n; ++i) {
-    labels[i] = *dense.Insert(raw[i], dense.size()).first;
+    int64_t& d = dense[raw[i]];
+    if (d < 0) d = next++;
+    labels[i] = d;
   }
   return ni.Zip(labels);
 }
@@ -61,18 +128,8 @@ ComponentLabels WeaklyConnectedComponents(const DirectedGraph& g) {
   trace::Span span("Algo/WeaklyConnectedComponents");
   span.AddAttr("nodes", g.NumNodes());
   span.AddAttr("edges", g.NumEdges());
-  // The view's arcs are already dense indices — no per-edge hash lookups.
-  // Union order cannot affect the labels: Relabel renumbers by first
-  // occurrence in ascending index order.
   const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-  const int64_t n = view->NumNodes();
-  UnionFind uf(n);
-  for (int64_t u = 0; u < n; ++u) {
-    for (int64_t v : view->Out(u)) uf.Union(u, v);
-  }
-  std::vector<int64_t> raw(n);
-  for (int64_t i = 0; i < n; ++i) raw[i] = uf.Find(i);
-  return Relabel(view->node_index(), raw);
+  return Relabel(view->node_index(), ComponentRoots(*view));
 }
 
 ComponentLabels ConnectedComponents(const UndirectedGraph& g) {
@@ -80,15 +137,7 @@ ComponentLabels ConnectedComponents(const UndirectedGraph& g) {
   span.AddAttr("nodes", g.NumNodes());
   span.AddAttr("edges", g.NumEdges());
   const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
-  const int64_t n = view->NumNodes();
-  UnionFind uf(n);
-  for (int64_t u = 0; u < n; ++u) {
-    // Each edge appears from both endpoints; the second Union is a no-op.
-    for (int64_t v : view->Out(u)) uf.Union(u, v);
-  }
-  std::vector<int64_t> raw(n);
-  for (int64_t i = 0; i < n; ++i) raw[i] = uf.Find(i);
-  return Relabel(view->node_index(), raw);
+  return Relabel(view->node_index(), ComponentRoots(*view));
 }
 
 ComponentLabels StronglyConnectedComponents(const DirectedGraph& g) {

@@ -1,6 +1,6 @@
-// Connected-component algorithms: weakly connected components (union-find)
-// and strongly connected components (iterative Tarjan — Table 6's "SCC"
-// row), plus largest-component extraction.
+// Connected-component algorithms: weakly connected components (parallel
+// lock-free union-find) and strongly connected components (iterative
+// Tarjan — Table 6's "SCC" row), plus largest-component extraction.
 #ifndef RINGO_ALGO_CONNECTIVITY_H_
 #define RINGO_ALGO_CONNECTIVITY_H_
 

@@ -1,10 +1,16 @@
 #include "algo/triangles.h"
 
+#include <omp.h>
+
 #include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <span>
+#include <vector>
 
 #include "algo/algo_view.h"
 #include "algo/node_index.h"
+#include "util/logging.h"
 #include "util/parallel.h"
 #include "util/trace.h"
 
@@ -12,63 +18,88 @@ namespace ringo {
 
 namespace {
 
-// Degree-ordered forward adjacency: node i keeps only neighbors j with
-// (deg(j), j) > (deg(i), i), as ascending dense indices. Every triangle
-// then has exactly one vertex from which both others are "forward".
-// Self-loops are dropped (a self-loop cannot be part of a triangle); the
-// ordering key counts them, which only affects which vertex owns a
-// triangle, never the count. The view's neighbor spans are already
-// ascending dense indices, so the filtered copy needs no sort.
-std::vector<std::vector<int64_t>> ForwardAdjacency(const AlgoView& view) {
+// Degree-ordered forward CSR: node i keeps only the neighbours j with
+// (deg(j), j) > (deg(i), i), so every triangle has exactly one vertex from
+// which both others are forward. Self-loops are dropped (a self-loop
+// cannot close a triangle); the ordering key counts them, which only
+// changes which vertex owns a triangle, never the count. One offsets array
+// and one neighbour array, filled count → prefix → fill: no per-node
+// allocation. Each run is ascending (the view's runs are), though the
+// marker intersection below does not rely on it.
+struct ForwardCsr {
+  std::vector<int64_t> offsets;  // n + 1 entries.
+  std::vector<int64_t> nbrs;     // Dense indices.
+
+  std::span<const int64_t> Of(int64_t i) const {
+    return {nbrs.data() + offsets[i],
+            static_cast<size_t>(offsets[i + 1] - offsets[i])};
+  }
+};
+
+ForwardCsr BuildForward(const AlgoView& view) {
   const int64_t n = view.NumNodes();
   std::vector<int64_t> deg(n);
   ParallelFor(0, n, [&](int64_t i) { deg[i] = view.OutDegree(i); });
-  auto order_less = [&](int64_t a, int64_t b) {
-    return deg[a] != deg[b] ? deg[a] < deg[b] : a < b;
+  auto forward = [&](int64_t i, int64_t j) {
+    return deg[i] != deg[j] ? deg[i] < deg[j] : i < j;
   };
-  std::vector<std::vector<int64_t>> fwd(n);
+  ForwardCsr fwd;
+  fwd.offsets.assign(n + 1, 0);
   ParallelForDynamic(0, n, [&](int64_t i) {
-    for (const int64_t j : view.Out(i)) {
-      if (j != i && order_less(i, j)) fwd[i].push_back(j);
-    }
+    int64_t c = 0;
+    view.ForEachOut(i, [&](int64_t j) { c += forward(i, j); });
+    fwd.offsets[i] = c;
+  });
+  fwd.nbrs.resize(ExclusivePrefixSum(fwd.offsets));
+  ParallelForDynamic(0, n, [&](int64_t i) {
+    int64_t* out = fwd.nbrs.data() + fwd.offsets[i];
+    view.ForEachOut(i, [&](int64_t j) {
+      if (forward(i, j)) *out++ = j;
+    });
   });
   return fwd;
 }
 
-int64_t SortedIntersectionSize(const std::vector<int64_t>& a,
-                               const std::vector<int64_t>& b) {
-  int64_t count = 0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
-}
+// The intersection scratch of one call: an n-byte marker per team thread,
+// all zero between sources. Owned by the call and freed on return, so no
+// memory outlives it and concurrent calls never share markers.
+class Markers {
+ public:
+  Markers(int64_t n, bool parallel)
+      : n_(n),
+        slots_(parallel && NumThreads() > 1 ? omp_get_max_threads() : 1),
+        level_(omp_get_level()),
+        bytes_(static_cast<size_t>(n_ * slots_), 0) {}
 
-int64_t CountWithForward(const std::vector<std::vector<int64_t>>& fwd,
-                         bool parallel) {
-  const int64_t n = static_cast<int64_t>(fwd.size());
-  // Integer sums are order-insensitive, but the blocked form shares the
-  // TSan-visible fork/join fencing of ParallelFor instead of an opaque
-  // `omp reduction` combine.
-  return DeterministicBlockSum(
-      0, n,
-      [&](int64_t i) {
-        int64_t t = 0;
-        for (int64_t j : fwd[i]) {
-          t += SortedIntersectionSize(fwd[i], fwd[j]);
-        }
-        return t;
-      },
-      parallel);
+  // The marker of the calling thread: its team number inside a region the
+  // call opened, slot 0 when the loop ran inline on the caller (which may
+  // itself be a thread of an enclosing team).
+  uint8_t* Mine() {
+    const int t = omp_get_level() > level_ ? omp_get_thread_num() : 0;
+    RINGO_CHECK_LT(t, slots_);
+    return bytes_.data() + t * n_;
+  }
+
+  int64_t bytes() const { return static_cast<int64_t>(bytes_.size()); }
+
+ private:
+  int64_t n_;
+  int slots_;
+  int level_;  // Nesting level of the calling thread.
+  std::vector<uint8_t> bytes_;
+};
+
+// Triangles owned by source i: marks fwd(i), sums the marks over fwd(j)
+// for every j in fwd(i), then clears the marks again.
+int64_t CountFrom(const ForwardCsr& fwd, int64_t i, uint8_t* mark) {
+  const std::span<const int64_t> fi = fwd.Of(i);
+  for (const int64_t j : fi) mark[j] = 1;
+  int64_t t = 0;
+  for (const int64_t j : fi) {
+    for (const int64_t k : fwd.Of(j)) t += mark[k];
+  }
+  for (const int64_t j : fi) mark[j] = 0;
+  return t;
 }
 
 int64_t CountTriangles(const UndirectedGraph& g, bool parallel,
@@ -76,53 +107,58 @@ int64_t CountTriangles(const UndirectedGraph& g, bool parallel,
   trace::Span span(span_name);
   span.AddAttr("nodes", g.NumNodes());
   span.AddAttr("edges", g.NumEdges());
-  const int64_t t =
-      CountWithForward(ForwardAdjacency(*AlgoView::Of(g)), parallel);
+  const std::shared_ptr<const AlgoView> view = AlgoView::Of(g);
+  ForwardCsr fwd;
+  {
+    trace::Span forward_span("Algo/Triangles/forward");
+    fwd = BuildForward(*view);
+    forward_span.AddAttr("fwd_arcs", static_cast<int64_t>(fwd.nbrs.size()));
+  }
+  trace::Span intersect_span("Algo/Triangles/intersect");
+  Markers markers(view->NumNodes(), parallel);
+  intersect_span.AddAttr("scratch_bytes", markers.bytes());
+  // Integer sums are order-insensitive, but the blocked form shares the
+  // TSan-visible fork/join fencing of ParallelFor instead of an opaque
+  // `omp reduction` combine.
+  const int64_t t = DeterministicBlockSum(
+      0, view->NumNodes(),
+      [&](int64_t i) { return CountFrom(fwd, i, markers.Mine()); }, parallel);
   span.AddAttr("triangles", t);
   return t;
 }
 
-// |(a \ {skip_a}) ∩ (b \ {skip_b})| over ascending spans — the CSR
-// merge-intersection, skipping each endpoint's own self-loop entry inline
-// instead of materializing cleaned copies.
-int64_t IntersectSkip(std::span<const int64_t> a, int64_t skip_a,
-                      std::span<const int64_t> b, int64_t skip_b) {
-  int64_t count = 0;
-  size_t i = 0, j = 0;
-  while (i < a.size() && j < b.size()) {
-    if (a[i] == skip_a) {
-      ++i;
-    } else if (b[j] == skip_b) {
-      ++j;
-    } else if (a[i] < b[j]) {
-      ++i;
-    } else if (a[i] > b[j]) {
-      ++j;
-    } else {
-      ++count;
-      ++i;
-      ++j;
-    }
-  }
-  return count;
+void AtomicAdd(int64_t& x, int64_t v) {
+  std::atomic_ref<int64_t>(x).fetch_add(v, std::memory_order_relaxed);
 }
 
-// Per-node triangle participation over CSR spans.
+// Per-node triangle participation over the forward CSR: each triangle
+// {i, j, k} is found once, from its owner i, and credits all three
+// vertices. Credits land from any thread, hence the relaxed atomic adds;
+// integer sums do not depend on their order, so the counts are exact at
+// every thread count.
 std::vector<int64_t> NodeTriangleCounts(const AlgoView& view) {
+  const ForwardCsr fwd = BuildForward(view);
   const int64_t n = view.NumNodes();
   std::vector<int64_t> tri(n, 0);
+  Markers markers(n, /*parallel=*/true);
   ParallelForDynamic(0, n, [&](int64_t i) {
-    int64_t twice = 0;
-    // NbrSpan keeps i's run pinned (one decode on the compact layout) while
-    // the inner Out(v) decodes into separate scratch buffers.
-    const NbrSpan nbrs = view.Out(i);
-    for (const int64_t v : nbrs) {
-      if (v == i) continue;
-      // |N(i) ∩ N(v)| counts each triangle through edge (i,v) once; summing
-      // over v counts each of i's triangles twice.
-      twice += IntersectSkip(nbrs, i, view.Out(v), v);
+    uint8_t* mark = markers.Mine();
+    const std::span<const int64_t> fi = fwd.Of(i);
+    for (const int64_t j : fi) mark[j] = 1;
+    int64_t ti = 0;
+    for (const int64_t j : fi) {
+      int64_t tj = 0;
+      for (const int64_t k : fwd.Of(j)) {
+        if (mark[k]) {
+          ++tj;
+          AtomicAdd(tri[k], 1);
+        }
+      }
+      if (tj > 0) AtomicAdd(tri[j], tj);
+      ti += tj;
     }
-    tri[i] = twice / 2;
+    for (const int64_t j : fi) mark[j] = 0;
+    if (ti > 0) AtomicAdd(tri[i], ti);
   });
   return tri;
 }

@@ -4,6 +4,7 @@
 
 #include "algo/bfs.h"
 #include "gen/graph_gen.h"
+#include "stress/stress_support.h"
 #include "test_support.h"
 
 namespace ringo {
@@ -39,6 +40,41 @@ TEST(WccTest, IsolatedNodesAreSingletons) {
   g.AddNode(2);
   EXPECT_EQ(ComponentSizes(WeaklyConnectedComponents(g)).size(), 2u);
   EXPECT_FALSE(IsWeaklyConnected(g));
+}
+
+// Exact labels against the tests/ reference, at 1 and 4 threads, on
+// graphs that stress the sampled giant component: edges that only point
+// into a node (an out-star's leaves have no out-arcs), a giant component
+// beside many small ones, isolated nodes, and no edges at all.
+TEST(WccTest, MatchesReferenceLabels) {
+  std::vector<DirectedGraph> directed;
+  DirectedGraph out_star = testing::RandomDirected(400, 600, 0x51);
+  for (NodeId leaf = 1000; leaf < 1600; ++leaf) out_star.AddEdge(999, leaf);
+  directed.push_back(std::move(out_star));
+  DirectedGraph in_star;
+  for (NodeId leaf = 1; leaf < 700; ++leaf) in_star.AddEdge(leaf, 0);
+  in_star.AddEdge(5000, 5001);
+  directed.push_back(std::move(in_star));
+  directed.push_back(testing::RandomDirected(3000, 2200, 0x52));
+  directed.push_back(testing::RandomDirected(50, 0, 0x53));
+  directed.push_back(DirectedGraph());
+  std::vector<UndirectedGraph> undirected;
+  undirected.push_back(testing::RandomUndirected(3000, 1800, 0x54));
+  undirected.push_back(gen::Star(900));
+  undirected.push_back(testing::RandomUndirected(40, 0, 0x55));
+  for (const int tc : {1, 4}) {
+    testing::ScopedNumThreads threads(tc);
+    for (size_t k = 0; k < directed.size(); ++k) {
+      EXPECT_EQ(WeaklyConnectedComponents(directed[k]),
+                testing::RefWeakComponents(directed[k]))
+          << "directed " << k << " tc=" << tc;
+    }
+    for (size_t k = 0; k < undirected.size(); ++k) {
+      EXPECT_EQ(ConnectedComponents(undirected[k]),
+                testing::RefWeakComponents(undirected[k]))
+          << "undirected " << k << " tc=" << tc;
+    }
+  }
 }
 
 TEST(SccTest, CycleIsOneComponent) {

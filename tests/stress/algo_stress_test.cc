@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <thread>
 #include <vector>
 
 #include "algo/anf.h"
@@ -49,11 +50,13 @@ TEST(PageRankStress, ParallelIsBitIdenticalToSequential) {
 
 TEST(ConnectivityStress, ComponentLabelsAreThreadCountInvariant) {
   const DirectedGraph g = testing::RandomDirected(6000, 9000, 0xCAB);
-  ScopedNumThreads seq(1);
-  const ComponentLabels reference = WeaklyConnectedComponents(g);
+  const UndirectedGraph ug = testing::RandomUndirected(6000, 4500, 0xCAC);
+  const ComponentLabels reference = testing::RefWeakComponents(g);
+  const ComponentLabels undirected_reference = testing::RefWeakComponents(ug);
   for (int tc : StressThreadCounts()) {
     ScopedNumThreads threads(tc);
     ASSERT_EQ(WeaklyConnectedComponents(g), reference) << "tc=" << tc;
+    ASSERT_EQ(ConnectedComponents(ug), undirected_reference) << "tc=" << tc;
     ASSERT_EQ(StronglyConnectedComponents(g),
               StronglyConnectedComponents(g))
         << "tc=" << tc;
@@ -104,6 +107,7 @@ TEST(TriangleStress, NodeCountsAndCoefficientsAreThreadCountInvariant) {
   const UndirectedGraph g = testing::RandomUndirected(3000, 20000, 0x7121);
   ScopedNumThreads seq(1);
   const NodeInts tri = NodeTriangles(g);
+  ASSERT_EQ(tri, testing::RefNodeTriangleCounts(g));
   const NodeValues cc = LocalClusteringCoefficients(g);
   const double global = GlobalClusteringCoefficient(g);
   for (int tc : StressThreadCounts()) {
@@ -182,12 +186,48 @@ TEST(AnfStress, EstimatesAreThreadCountInvariant) {
   }
 }
 
+// Calls from several threads at once (serving workers do this) each own
+// their markers, so no call sees another's marks.
+TEST(TriangleStress, ConcurrentCallsOnDifferentGraphsStayExact) {
+  std::vector<UndirectedGraph> graphs;
+  for (int k = 0; k < 3; ++k) {
+    graphs.push_back(
+        testing::RandomUndirected(500 + 700 * k, 4000 + 3000 * k, 0x3C + k));
+  }
+  std::vector<int64_t> totals;
+  std::vector<NodeInts> nodes;
+  for (const UndirectedGraph& g : graphs) {
+    totals.push_back(testing::RefForwardTriangles(g));
+    nodes.push_back(testing::RefNodeTriangleCounts(g));
+  }
+  for (int tc : StressThreadCounts()) {
+    ScopedNumThreads threads(tc);
+    std::vector<int> ok(graphs.size(), 0);
+    std::vector<std::thread> callers;
+    for (size_t k = 0; k < graphs.size(); ++k) {
+      callers.emplace_back([&, k] {
+        bool same = true;
+        for (int rep = 0; rep < 3; ++rep) {
+          same = same && ParallelTriangleCount(graphs[k]) == totals[k] &&
+                 TriangleCount(graphs[k]) == totals[k] &&
+                 NodeTriangles(graphs[k]) == nodes[k];
+        }
+        ok[k] = same;
+      });
+    }
+    for (std::thread& t : callers) t.join();
+    EXPECT_EQ(ok, std::vector<int>(graphs.size(), 1)) << "tc=" << tc;
+  }
+}
+
 TEST(TriangleStress, ParallelCountMatchesSequentialAndBrute) {
   const UndirectedGraph small = testing::RandomUndirected(120, 400, 0x3A3);
   const int64_t brute = testing::BruteTriangles(small);
   const UndirectedGraph big = testing::RandomUndirected(4000, 30000, 0x7A7);
+  // The merge-kernel oracle shares no code with the library's kernel.
+  const int64_t big_reference = testing::RefForwardTriangles(big);
   ScopedNumThreads seq(1);
-  const int64_t big_reference = TriangleCount(big);
+  ASSERT_EQ(TriangleCount(big), big_reference);
   for (int tc : StressThreadCounts()) {
     ScopedNumThreads threads(tc);
     EXPECT_EQ(ParallelTriangleCount(small), brute) << "tc=" << tc;

@@ -11,12 +11,15 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "algo/algo_defs.h"
+#include "algo/algo_view.h"
 #include "graph/directed_graph.h"
 #include "graph/undirected_graph.h"
 #include "table/row_compare.h"
@@ -112,6 +115,127 @@ inline NodeInts BruteNodeTriangles(const UndirectedGraph& g) {
     out.emplace_back(u, t);
   }
   return out;
+}
+
+// ------------------------------------------------ triangle oracles
+//
+// Merge-intersection triangle kernels that share no code with the
+// library's forward-CSR marker kernel. Both read an uncached
+// AlgoView::Build of the graph, so they never see a cached or
+// delta-patched snapshot.
+
+// |a ∩ b| of two ascending vectors by a two-pointer merge.
+inline int64_t SortedIntersectionSize(const std::vector<int64_t>& a,
+                                      const std::vector<int64_t>& b) {
+  int64_t count = 0;
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] < b[j]) {
+      ++i;
+    } else if (a[i] > b[j]) {
+      ++j;
+    } else {
+      ++count;
+      ++i;
+      ++j;
+    }
+  }
+  return count;
+}
+
+// Total triangles from degree-ordered forward lists held as one vector per
+// node: node i keeps the non-self neighbours j with (deg(j), j) >
+// (deg(i), i), and each triangle is counted once, from its lowest vertex.
+inline int64_t RefForwardTriangles(const UndirectedGraph& g) {
+  const std::shared_ptr<const AlgoView> view = AlgoView::Build(g);
+  const int64_t n = view->NumNodes();
+  std::vector<int64_t> deg(n);
+  for (int64_t i = 0; i < n; ++i) deg[i] = view->OutDegree(i);
+  std::vector<std::vector<int64_t>> fwd(n);
+  for (int64_t i = 0; i < n; ++i) {
+    for (const int64_t j : view->Out(i)) {
+      const bool forward = deg[i] != deg[j] ? deg[i] < deg[j] : i < j;
+      if (j != i && forward) fwd[i].push_back(j);
+    }
+  }
+  int64_t count = 0;
+  for (int64_t i = 0; i < n; ++i) {
+    for (const int64_t j : fwd[i]) {
+      count += SortedIntersectionSize(fwd[i], fwd[j]);
+    }
+  }
+  return count;
+}
+
+// |(a \ {skip_a}) ∩ (b \ {skip_b})| over ascending spans, skipping each
+// endpoint's own self-loop entry inline.
+inline int64_t IntersectSkip(std::span<const int64_t> a, int64_t skip_a,
+                             std::span<const int64_t> b, int64_t skip_b) {
+  int64_t count = 0;
+  size_t i = 0, j = 0;
+  while (i < a.size() && j < b.size()) {
+    if (a[i] == skip_a) {
+      ++i;
+    } else if (b[j] == skip_b) {
+      ++j;
+    } else if (a[i] < b[j]) {
+      ++i;
+    } else if (a[i] > b[j]) {
+      ++j;
+    } else {
+      ++count;
+      ++i;
+      ++j;
+    }
+  }
+  return count;
+}
+
+// Per-node triangle participation by merge-intersecting full adjacency:
+// |N(i) ∩ N(v)| over i's neighbours v counts each of i's triangles twice.
+// (id, count) ascending by id, like NodeTriangles.
+inline NodeInts RefNodeTriangleCounts(const UndirectedGraph& g) {
+  const std::shared_ptr<const AlgoView> view = AlgoView::Build(g);
+  const int64_t n = view->NumNodes();
+  std::vector<int64_t> tri(n, 0);
+  for (int64_t i = 0; i < n; ++i) {
+    const NbrSpan nbrs = view->Out(i);
+    int64_t twice = 0;
+    for (const int64_t v : nbrs) {
+      if (v != i) twice += IntersectSkip(nbrs, i, view->Out(v), v);
+    }
+    tri[i] = twice / 2;
+  }
+  return view->node_index().Zip(tri);
+}
+
+// Weak component labels by a depth-first walk from each unlabeled id in
+// ascending order, edge direction ignored: components are numbered by
+// their smallest id, like WeaklyConnectedComponents / ConnectedComponents.
+// (id, label) ascending by id.
+template <typename Graph>
+NodeInts RefWeakComponents(const Graph& g) {
+  std::map<NodeId, std::vector<NodeId>> adj;
+  for (const NodeId id : g.SortedNodeIds()) adj[id];
+  for (const auto& [u, v] : EdgeSet(g)) {
+    adj[u].push_back(v);
+    adj[v].push_back(u);
+  }
+  std::map<NodeId, int64_t> label;
+  int64_t next = 0;
+  for (const auto& [root, unused] : adj) {
+    if (!label.emplace(root, next).second) continue;
+    std::vector<NodeId> stack = {root};
+    while (!stack.empty()) {
+      const NodeId u = stack.back();
+      stack.pop_back();
+      for (const NodeId v : adj[u]) {
+        if (label.emplace(v, next).second) stack.push_back(v);
+      }
+    }
+    ++next;
+  }
+  return NodeInts(label.begin(), label.end());
 }
 
 // Naive peeling reference: repeatedly delete nodes of degree < k. A
